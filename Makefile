@@ -43,9 +43,9 @@
 #   make bench-parallel - cold-cache Fig8 A/B at -j 1 vs -j 8, emitted
 #                      as BENCH_parallel.json (the parallel-engine
 #                      speedup record)
-#   make determinism - render the Fig8 smoke table at -j 1 and -j 8
-#                      under -race and require byte-identical output,
-#                      then require a -keep-going sweep with injected
+#   make determinism - render the Fig8 smoke table and the scheduler
+#                      comparison at -j 1 and -j 8 under -race and
+#                      require byte-identical output, then require a -keep-going sweep with injected
 #                      failures to report them byte-identically at
 #                      every worker count, then require a -seeds 3
 #                      replicated sweep to render byte-identical
@@ -173,7 +173,10 @@ bench-parallel:
 
 # Parallel determinism: the Fig8 smoke table must render byte-identical
 # at -j 1 and -j 8, with the race detector watching the worker pool.
-# The second half asserts the same contract for the failure path: a
+# The scheduler comparison (-only sched) must too, simulated from
+# scratch (no result cache): its pass has four warm keys, each shared by
+# several runs, so the warm-key grouping, the shared warm-ups and the
+# waits on them all run under -race. The second half asserts the same contract for the failure path: a
 # -keep-going sweep whose ghost-trace points fail at runtime (see
 # testdata/sweep_keepgoing.json) must report the joined failures
 # byte-identically at every worker count. The grep guard pins the
@@ -191,6 +194,10 @@ determinism:
 	$(GO) run -race ./cmd/experiments -scale test -mixes 2 -only fig8 -j 8 -format text > .det-j8.txt
 	cmp .det-j1.txt .det-j8.txt
 	@rm -f .det-j1.txt .det-j8.txt
+	DCASIM_CACHE= $(GO) run -race ./cmd/experiments -scale test -mixes 2 -only sched -j 1 -format text > .det-sched-j1.txt
+	DCASIM_CACHE= $(GO) run -race ./cmd/experiments -scale test -mixes 2 -only sched -j 8 -format text > .det-sched-j8.txt
+	cmp .det-sched-j1.txt .det-sched-j8.txt
+	@rm -f .det-sched-j1.txt .det-sched-j8.txt
 	DCASIM_CACHE= $(GO) run -race ./cmd/dcasim sweep -spec testdata/sweep_keepgoing.json -keep-going -j 1 > .det-kg-j1.txt 2>&1 || true
 	DCASIM_CACHE= $(GO) run -race ./cmd/dcasim sweep -spec testdata/sweep_keepgoing.json -keep-going -j 8 > .det-kg-j8.txt 2>&1 || true
 	cmp .det-kg-j1.txt .det-kg-j8.txt
@@ -201,6 +208,6 @@ determinism:
 	cmp .det-seeds-j1.txt .det-seeds-j8.txt
 	grep -q '±' .det-seeds-j1.txt
 	@rm -f .det-seeds-j1.txt .det-seeds-j8.txt
-	@echo "parallel determinism OK: tables, keep-going failure reports, and -seeds 3 CI tables byte-identical at -j 1 and -j 8"
+	@echo "parallel determinism OK: tables (Fig8 and the shared-warm-up sched pass), keep-going failure reports, and -seeds 3 CI tables byte-identical at -j 1 and -j 8"
 
 ci: build lint test

@@ -1,0 +1,68 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"dcasim/internal/config"
+)
+
+// TestMain lets a test re-run this binary as the dcasim command: with
+// DCASIM_MAIN_ARGS set, the process runs main with those arguments
+// instead of the tests.
+func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv("DCASIM_MAIN_ARGS"); ok {
+		os.Args = append([]string{"dcasim"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs the command with args in a child process and returns its
+// exit code and stderr.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "DCASIM_MAIN_ARGS="+strings.Join(args, " "))
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case err == nil:
+		return 0, stderr.String()
+	case errors.As(err, &exit):
+		return exit.ExitCode(), stderr.String()
+	}
+	t.Fatal(err)
+	return 0, ""
+}
+
+// TestConfigFileTooManyBanksFailsCleanly: a -config scenario whose
+// channels have more banks than the controller supports must fail with
+// an error, not crash the process with a panic.
+func TestConfigFileTooManyBanksFailsCleanly(t *testing.T) {
+	cfg := config.Test()
+	cfg.Benchmarks = []string{"mcf"}
+	cfg.Banks = 128
+	path := filepath.Join(t.TempDir(), "banks.json")
+	if err := config.Save(path, cfg); err != nil {
+		t.Fatal(err)
+	}
+	code, stderr := runMain(t, "-config", path)
+	if code != 1 {
+		t.Fatalf("exit code %d, want 1; stderr:\n%s", code, stderr)
+	}
+	if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine") {
+		t.Fatalf("the command panicked:\n%s", stderr)
+	}
+	if !strings.Contains(stderr, "128 banks") {
+		t.Fatalf("the error does not name the bank count:\n%s", stderr)
+	}
+}

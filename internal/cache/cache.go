@@ -109,13 +109,15 @@ type Result struct {
 // Access performs a load (write=false) or store (write=true) with
 // allocate-on-miss semantics and returns the displaced victim, if any.
 // This is the hottest loop of the whole simulator (every warm-up
-// operation and every timed memory operation passes through it): the hit
-// scan touches only the tag words, and the victim scan runs only on a
-// miss.
+// operation and every timed memory operation passes through it), so it
+// looks up the tag and picks the victim in one scan of the set: the
+// victim is the first invalid way, else the least recently used one.
 func (c *Cache) Access(blockAddr int64, write bool) Result {
 	set, tg := c.split(blockAddr)
 	ws := c.lines[set*int64(c.ways) : (set+1)*int64(c.ways)]
 	c.tick++
+	victim, empty := -1, -1
+	var oldest uint32
 	for w := range ws {
 		l := &ws[w]
 		if l.tag == tg {
@@ -126,19 +128,17 @@ func (c *Cache) Access(blockAddr int64, write bool) Result {
 			}
 			return Result{Hit: true}
 		}
-	}
-	c.Misses++
-	victim := -1
-	var oldest uint32
-	for w := range ws {
-		l := &ws[w]
 		if l.tag == emptyTag {
-			victim = w
-			break
-		}
-		if victim < 0 || l.lru < oldest {
+			if empty < 0 {
+				empty = w
+			}
+		} else if victim < 0 || l.lru < oldest {
 			victim, oldest = w, l.lru
 		}
+	}
+	c.Misses++
+	if empty >= 0 {
+		victim = empty
 	}
 	l := &ws[victim]
 	res := Result{}
@@ -207,3 +207,34 @@ func (c *Cache) MissRate() float64 {
 
 // ResetStats clears hit/miss counters.
 func (c *Cache) ResetStats() { c.Hits, c.Misses = 0, 0 }
+
+// State is the replacement state of a Cache — every way's tag, dirty
+// bit and LRU stamp, plus the stamp clock — detached from the cache by
+// MoveState so that a warmed array can seed later caches of the same
+// shape.
+type State struct {
+	sets  int64
+	ways  int
+	lines []line
+	tick  uint32
+}
+
+// MoveState hands the cache's arrays to the returned State without
+// copying them. The cache must not be used afterwards.
+func (c *Cache) MoveState() State {
+	s := State{sets: c.sets, ways: c.ways, lines: c.lines, tick: c.tick}
+	c.lines = nil
+	return s
+}
+
+// CopyState overwrites the cache's replacement state with a copy of s,
+// which stays untouched, so any number of caches may copy one State
+// concurrently. Hit and miss counters are left alone.
+func (c *Cache) CopyState(s State) error {
+	if s.sets != c.sets || s.ways != c.ways {
+		return fmt.Errorf("cache: state of %d sets x %d ways restored into %d x %d", s.sets, s.ways, c.sets, c.ways)
+	}
+	copy(c.lines, s.lines)
+	c.tick = s.tick
+	return nil
+}

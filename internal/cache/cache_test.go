@@ -181,3 +181,37 @@ func TestMissRate(t *testing.T) {
 		t.Fatal("ResetStats left counters")
 	}
 }
+
+// TestCopyStateContinuesLikeTheOriginal: caches restored from a moved
+// state behave exactly like an untouched twin, and restoring leaves the
+// state itself unchanged for the next copy.
+func TestCopyStateContinuesLikeTheOriginal(t *testing.T) {
+	const size, block, ways = 16 * 4 * 64, 64, 4
+	warm, twin := mustNew(t, size, block, ways), mustNew(t, size, block, ways)
+	rnd := rand.New(rand.NewSource(5))
+	for op := 0; op < 500; op++ {
+		addr, write := int64(rnd.Intn(256)), rnd.Intn(3) == 0
+		warm.Access(addr, write)
+		twin.Access(addr, write)
+	}
+	s := warm.MoveState()
+	a, b := mustNew(t, size, block, ways), mustNew(t, size, block, ways)
+	for _, c := range []*Cache{a, b} {
+		if err := c.CopyState(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for op := 0; op < 5_000; op++ {
+		addr, write := int64(rnd.Intn(256)), rnd.Intn(3) == 0
+		want := twin.Access(addr, write)
+		if got := a.Access(addr, write); got != want {
+			t.Fatalf("op %d: restored cache %+v, twin %+v", op, got, want)
+		}
+		if got := b.Access(addr, write); got != want {
+			t.Fatalf("op %d: second restored cache %+v, twin %+v", op, got, want)
+		}
+	}
+	if err := mustNew(t, 2*size, block, ways).CopyState(s); err == nil {
+		t.Fatal("state restored into a cache of another shape")
+	}
+}

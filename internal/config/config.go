@@ -199,6 +199,10 @@ func (c Config) Validate() error {
 	if err := c.DRAMGeometry().Validate(); err != nil {
 		return err
 	}
+	if nb := c.Ranks * c.Banks; nb > core.MaxBanksPerChannel {
+		return fmt.Errorf("config: %d ranks x %d banks = %d banks per channel, the controller supports at most %d",
+			c.Ranks, c.Banks, nb, core.MaxBanksPerChannel)
+	}
 	if err := c.CtrlConfig().Validate(); err != nil {
 		return err
 	}

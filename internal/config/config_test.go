@@ -68,6 +68,8 @@ func TestValidationErrors(t *testing.T) {
 		"negative tag cache": func(c *Config) { c.TagCacheKB = -1 },
 		"tag cache on DM":    func(c *Config) { c.TagCacheKB = 64; c.Org = dcache.DirectMapped },
 		"bad channels":       func(c *Config) { c.Channels = 3 },
+		"128 banks":          func(c *Config) { c.Banks = 128 },
+		"4 ranks x 32 banks": func(c *Config) { c.Ranks, c.Banks = 4, 32 },
 		"zero L2":            func(c *Config) { c.L2Bytes = 0 },
 	}
 	for name, mutate := range cases {

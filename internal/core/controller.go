@@ -383,17 +383,20 @@ func (c *Controller) SetIssueObserver(fn func(e *Entry, now simtime.Time, fromRe
 	c.onIssue = fn
 }
 
+// MaxBanksPerChannel caps a channel's ranks × banks: the per-bank index
+// uses one bitmap word (the paper's machines have 16 banks).
+const MaxBanksPerChannel = 64
+
 // NewController builds a controller for one channel serving `apps`
-// applications. The config must validate. The per-bank index uses one
-// bitmap word, capping a channel at 64 banks (the paper's machines have
-// 16).
+// applications. The config must validate, and the channel may have at
+// most MaxBanksPerChannel banks.
 func NewController(eng *event.Engine, ch *dram.Channel, cfg Config, apps int) *Controller {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	nb := ch.Banks()
-	if nb > 64 {
-		panic(fmt.Sprintf("core: controller supports at most 64 banks per channel, got %d", nb))
+	if nb > MaxBanksPerChannel {
+		panic(fmt.Sprintf("core: controller supports at most %d banks per channel, got %d", MaxBanksPerChannel, nb))
 	}
 	spec, err := cfg.Design.Spec()
 	if err != nil {

@@ -139,22 +139,26 @@ func (l *L2) leeDrain(victim int64, coreID int) {
 	}
 }
 
-// WarmRead is the functional warm-up read path.
+// WarmRead is the functional warm-up read path. One Access both looks
+// the block up and, on a miss, installs it: nothing between the lookup
+// and the fill reads the L2, so the fill need not rescan the set.
 func (l *L2) WarmRead(addr int64, coreID int, pc uint64) {
-	if l.arr.Touch(addr) {
+	res := l.arr.Access(addr, false)
+	if res.Hit {
 		return
 	}
 	l.dc.WarmRead(addr, coreID, pc)
-	l.warmInstall(addr, false, coreID)
+	l.warmEvict(res, coreID)
 }
 
 // WarmWrite is the functional warm-up write path.
 func (l *L2) WarmWrite(addr int64, coreID int) {
-	l.warmInstall(addr, true, coreID)
+	l.warmEvict(l.arr.Access(addr, true), coreID)
 }
 
-func (l *L2) warmInstall(addr int64, dirty bool, coreID int) {
-	res := l.arr.Access(addr, dirty)
+// warmEvict writes a dirty victim of a warm-up fill back to the DRAM
+// cache.
+func (l *L2) warmEvict(res cache.Result, coreID int) {
 	if !res.Hit && res.VictimValid && res.VictimDirty {
 		l.dc.WarmWrite(res.VictimAddr, coreID)
 	}

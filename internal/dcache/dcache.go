@@ -513,6 +513,37 @@ func (d *DCache) WarmWrite(addr int64, coreID int) {
 	d.tags.install(addr, set, vw, true)
 }
 
+// WarmState is the functional state warm-up leaves in a DRAM cache:
+// the tag store, in its compact form, and the MAP-I predictor.
+type WarmState struct {
+	tags tagState
+	mapi *mempred.MAPI
+}
+
+// MoveWarmState detaches the cache's warm state without copying the tag
+// words. The cache must not be used afterwards.
+func (d *DCache) MoveWarmState() WarmState {
+	s := WarmState{tags: d.tags.moveState(), mapi: d.mapi}
+	d.mapi = nil
+	return s
+}
+
+// CopyWarmState overwrites the cache's tags and predictor with a copy of
+// s, which stays untouched, so any number of caches may copy one
+// WarmState concurrently. The cache must have the geometry, core count
+// and MAP-I setting of the one s was moved from.
+func (d *DCache) CopyWarmState(s WarmState) error {
+	if (s.mapi == nil) != (d.mapi == nil) {
+		return fmt.Errorf("dcache: warm state MAP-I setting differs from the cache's")
+	}
+	if s.mapi != nil {
+		if err := d.mapi.CopyFrom(s.mapi); err != nil {
+			return err
+		}
+	}
+	return d.tags.copyState(s.tags)
+}
+
 // RowSpan returns the contiguous block-address window whose members map
 // to the same DRAM row as addr, used by the Lee DRAM-aware L2 writeback
 // policy to find row-mates.

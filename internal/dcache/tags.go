@@ -1,5 +1,7 @@
 package dcache
 
+import "fmt"
+
 // tagStore is the functional (zero-time) tag state of the DRAM cache:
 // which blocks are present, their dirtiness, and LRU order. Timing is
 // charged separately by the access chains; the functional state advances
@@ -128,4 +130,108 @@ func (t *tagStore) install(blockAddr int64, set int64, way int, dirty bool) {
 	t.dbit[i] = dirty
 	t.tick++
 	t.lru[i] = t.tick
+}
+
+// tagState is a tagStore detached by moveState, in the compact form a
+// warm-up snapshot keeps while runs wait to copy it: tags narrowed to 32
+// bits when every one fits (the tag words are most of a snapshot),
+// dirty bits packed 64 to a word, and each way's LRU rank within its set
+// instead of its 32-bit stamp. Victim choice only compares the stamps of
+// valid ways of one set, so their order within the set is all that must
+// survive; a one-way set has no order, and no ranks are kept for it.
+type tagState struct {
+	geom  Geometry
+	tag   []int64  // the store's own tag words, when some tag needs 64 bits
+	tag32 []uint32 // otherwise the tags narrowed, with empty32 for an invalid way
+	dirty []uint64
+	rank  []uint8 // nil when the cache is direct-mapped
+}
+
+// empty32 marks an invalid way among narrowed tags.
+const empty32 = ^uint32(0)
+
+// moveState detaches the store's state into its compact form; the tag
+// words are taken without copying when they cannot be narrowed. The
+// store must not be used afterwards.
+func (t *tagStore) moveState() tagState {
+	s := tagState{geom: t.geom, dirty: make([]uint64, (len(t.tag)+63)/64)}
+	narrow := true
+	for _, tg := range t.tag {
+		if tg >= int64(empty32) {
+			narrow = false
+			break
+		}
+	}
+	if narrow {
+		s.tag32 = make([]uint32, len(t.tag))
+		for i, tg := range t.tag {
+			if tg == emptyTag {
+				s.tag32[i] = empty32
+			} else {
+				s.tag32[i] = uint32(tg)
+			}
+		}
+	} else {
+		s.tag = t.tag
+	}
+	for i, d := range t.dbit {
+		if d {
+			s.dirty[i/64] |= 1 << (i % 64)
+		}
+	}
+	if ways := t.geom.Ways; ways > 1 {
+		// rank = how many ways of the set carry an older stamp. Valid
+		// ways have distinct stamps (each install or touch takes a fresh
+		// tick), so their ranks are distinct and ordered like the
+		// stamps; a set has at most saWays (15) ways, so a rank fits a
+		// byte.
+		s.rank = make([]uint8, len(t.lru))
+		for base := 0; base < len(t.lru); base += ways {
+			set := t.lru[base : base+ways]
+			for w, stamp := range set {
+				r := 0
+				for _, other := range set {
+					if other < stamp {
+						r++
+					}
+				}
+				s.rank[base+w] = uint8(r)
+			}
+		}
+	}
+	t.tag, t.dbit, t.lru = nil, nil, nil
+	return s
+}
+
+// copyState overwrites the store with a copy of s, which stays
+// untouched. Stamps are rebuilt from the ranks and the clock restarts
+// above every one of them, so each later victim choice is the one the
+// store s was moved from would have made.
+func (t *tagStore) copyState(s tagState) error {
+	if s.geom != t.geom {
+		return fmt.Errorf("dcache: tag state of geometry %+v restored into %+v", s.geom, t.geom)
+	}
+	if s.tag32 == nil {
+		copy(t.tag, s.tag)
+	} else {
+		for i, tg := range s.tag32 {
+			if tg == empty32 {
+				t.tag[i] = emptyTag
+			} else {
+				t.tag[i] = int64(tg)
+			}
+		}
+	}
+	for i := range t.dbit {
+		t.dbit[i] = s.dirty[i/64]&(1<<(i%64)) != 0
+	}
+	if s.rank == nil {
+		clear(t.lru)
+	} else {
+		for i, r := range s.rank {
+			t.lru[i] = uint32(r)
+		}
+	}
+	t.tick = uint32(t.geom.Ways)
+	return nil
 }

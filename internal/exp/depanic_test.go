@@ -35,7 +35,7 @@ func zeroIPCSim(cfg config.Config) (sim.Result, error) {
 // samples must fail the table with an error.
 func TestGeoMeanAggregationErrorNotPanic(t *testing.T) {
 	r := testRunner(t, 1)
-	r.run = zeroIPCSim
+	useSim(r, zeroIPCSim)
 	spec := TableSpec{
 		Name:    "degenerate-geomean",
 		Headers: []string{"x"},
@@ -56,7 +56,7 @@ func TestGeoMeanAggregationErrorNotPanic(t *testing.T) {
 // stats.WeightedSpeedup.
 func TestWeightedSpeedupZeroAloneErrorNotPanic(t *testing.T) {
 	r := testRunner(t, 1)
-	r.run = zeroIPCSim
+	useSim(r, zeroIPCSim)
 	spec := TableSpec{
 		Name:    "degenerate-ws",
 		Headers: []string{"x"},
@@ -77,7 +77,7 @@ func TestWeightedSpeedupZeroAloneErrorNotPanic(t *testing.T) {
 // too.
 func TestPerMixGmeanErrorNotPanic(t *testing.T) {
 	r := testRunner(t, 1)
-	r.run = zeroIPCSim
+	useSim(r, zeroIPCSim)
 	spec := TableSpec{
 		Name:    "degenerate-permix",
 		Headers: []string{"mix"},
@@ -99,7 +99,7 @@ func TestPerMixGmeanErrorNotPanic(t *testing.T) {
 // NaN/Inf off as data.
 func TestDivZeroDenominatorRendersDash(t *testing.T) {
 	r := testRunner(t, 1)
-	r.run = func(cfg config.Config) (sim.Result, error) {
+	useSim(r, func(cfg config.Config) (sim.Result, error) {
 		n := len(cfg.Benchmarks)
 		res := sim.Result{
 			Benchmarks: append([]string(nil), cfg.Benchmarks...),
@@ -112,7 +112,7 @@ func TestDivZeroDenominatorRendersDash(t *testing.T) {
 		// res.DRAM.Turnarounds stays 0: the denominator column below
 		// aggregates to exactly zero.
 		return res, nil
-	}
+	})
 	spec := TableSpec{
 		Name:    "div-zero",
 		Headers: []string{"x"},
@@ -236,7 +236,7 @@ func TestKeepGoingTableDegenerateSamples(t *testing.T) {
 	cfg := config.Test()
 	r := NewRunner(cfg, workload.TableI()[:2], 2)
 	r.SetKeepGoing(true)
-	r.run = zeroIPCSim
+	useSim(r, zeroIPCSim)
 	spec := TableSpec{
 		Name:    "degenerate-keepgoing",
 		Headers: []string{"x"},

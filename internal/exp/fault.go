@@ -36,30 +36,31 @@ func (e *RunTimeoutError) Error() string {
 }
 
 // runIsolated invokes one simulation behind a panic barrier: a panic
-// anywhere under sim.Run surfaces as a *RunPanicError for exactly this
-// config. Isolation is per run, not per process — the memo records the
-// error under the config's hash like any other failure, so a fail-fast
-// pass still reports the lowest failing spec index and a keep-going
-// pass carries on past it.
-func (r *Runner) runIsolated(cfg config.Config) (res sim.Result, err error) {
+// anywhere under run (sim.Run, or a warm-up plus sim.RunFrom) surfaces
+// as a *RunPanicError for exactly this config. Isolation is per run,
+// not per process — the memo records the error under the config's hash
+// like any other failure, so a fail-fast pass still reports the first
+// failing config in dispatch order and a keep-going pass carries on
+// past it.
+func runIsolated(cfg config.Config, run func(config.Config) (sim.Result, error)) (res sim.Result, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = &RunPanicError{Hash: cfg.Hash(), Value: fmt.Sprint(v), Stack: debug.Stack()}
 		}
 	}()
-	return r.run(cfg)
+	return run(cfg)
 }
 
-// execute runs one simulation with panic isolation and, when a run
-// timeout is set, a watchdog. The watchdog abandons the runaway
+// execute runs one simulation through run with panic isolation and,
+// when a run timeout is set, a watchdog. The watchdog abandons the runaway
 // goroutine rather than killing it (Go offers no preemptive cancel,
 // and the simulator deliberately takes no context — the deterministic
 // core must not observe wall-clock): its leak is the accepted price,
 // bounded by one goroutine per timed-out run, and it can never commit
 // a result because the memo records the timeout error first.
-func (r *Runner) execute(cfg config.Config) (sim.Result, error) {
+func (r *Runner) execute(cfg config.Config, run func(config.Config) (sim.Result, error)) (sim.Result, error) {
 	if r.runTimeout <= 0 {
-		return r.runIsolated(cfg)
+		return runIsolated(cfg, run)
 	}
 	type outcome struct {
 		res sim.Result
@@ -67,7 +68,7 @@ func (r *Runner) execute(cfg config.Config) (sim.Result, error) {
 	}
 	ch := make(chan outcome, 1) // buffered: a late finisher must not block forever
 	go func() {
-		res, err := r.runIsolated(cfg)
+		res, err := runIsolated(cfg, run)
 		ch <- outcome{res: res, err: err}
 	}()
 	timer := time.NewTimer(r.runTimeout)

@@ -37,12 +37,20 @@ func fakeSim(panics ...uint64) func(config.Config) (sim.Result, error) {
 	}
 }
 
+// useSim substitutes a fake simulator for every path a run can take:
+// a plain run, and a shared warm-up plus a restored timed region.
+func useSim(r *Runner, run func(config.Config) (sim.Result, error)) {
+	r.run = run
+	r.warmup = func(config.Config) (*sim.WarmState, error) { return new(sim.WarmState), nil }
+	r.runFrom = func(cfg config.Config, _ *sim.WarmState) (sim.Result, error) { return run(cfg) }
+}
+
 // TestRunPanicIsolated: a panic inside one simulation becomes a typed
 // error for exactly that run — carrying the config hash and a captured
 // stack — and does not poison the runner for other configs.
 func TestRunPanicIsolated(t *testing.T) {
 	r := NewRunner(config.Test(), nil, 2)
-	r.run = fakeSim(666)
+	useSim(r, fakeSim(666))
 
 	if _, err := r.Run(fakeCfg(1)); err != nil {
 		t.Fatalf("healthy run failed: %v", err)
@@ -80,7 +88,7 @@ func TestEnsureFailFastPanicDeterministic(t *testing.T) {
 	var msgs []string
 	for _, workers := range []int{1, 2, 8} {
 		r := NewRunner(config.Test(), nil, workers)
-		r.run = fakeSim(666, 777)
+		useSim(r, fakeSim(666, 777))
 		err := r.Ensure(cfgs)
 		if err == nil {
 			t.Fatalf("workers=%d: Ensure swallowed the panics", workers)
@@ -112,7 +120,7 @@ func TestEnsureKeepGoingJoinsAll(t *testing.T) {
 	var msgs []string
 	for _, workers := range []int{1, 2, 8} {
 		r := NewRunner(config.Test(), nil, workers)
-		r.run = fakeSim(666, 777, 888)
+		useSim(r, fakeSim(666, 777, 888))
 		r.SetKeepGoing(true)
 		err := r.Ensure(cfgs)
 		if err == nil {

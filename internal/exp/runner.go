@@ -37,9 +37,13 @@ type Runner struct {
 	progress   ProgressFunc
 	replicates int // default replicate count for Table; specs may override
 
-	run        func(config.Config) (sim.Result, error) // the simulator; tests substitute panicking/hanging fakes
-	keepGoing  bool                                    // Ensure collects every failure instead of cancelling on the first
-	runTimeout time.Duration                           // per-run watchdog; <= 0 disables
+	// The simulator — a full run, a warm-up, and a timed region from a
+	// warm state; tests substitute panicking/hanging fakes.
+	run        func(config.Config) (sim.Result, error)
+	warmup     func(config.Config) (*sim.WarmState, error)
+	runFrom    func(config.Config, *sim.WarmState) (sim.Result, error)
+	keepGoing  bool          // Ensure collects every failure instead of cancelling on the first
+	runTimeout time.Duration // per-run watchdog; <= 0 disables
 
 	mu        sync.Mutex
 	results   map[string]sim.Result // by config.Config.Hash()
@@ -70,6 +74,8 @@ func NewRunner(base config.Config, mixes []workload.Mix, workers int) *Runner {
 		mixes:    mixes,
 		workers:  workers,
 		run:      sim.Run,
+		warmup:   sim.Warmup,
+		runFrom:  sim.RunFrom,
 		results:  make(map[string]sim.Result),
 		errs:     make(map[string]error),
 		inflight: make(map[string]*call),
@@ -85,10 +91,11 @@ func (r *Runner) SetCache(c *rescache.Cache) { r.cache = c }
 func (r *Runner) SetProgress(f ProgressFunc) { r.progress = f }
 
 // SetKeepGoing selects Ensure's failure mode: false (the default) stops
-// dispatching on the first failure and reports the lowest-spec-index
-// error; true runs every config and reports all failures joined in spec
-// order — the resumable mode, where every run that can succeed lands in
-// the cache even when some cannot. Set it before the first Ensure call.
+// dispatching on the first failure and reports the first failure in
+// dispatch order; true runs every config and reports all failures
+// joined in spec order — the resumable mode, where every run that can
+// succeed lands in the cache even when some cannot. Set it before the
+// first Ensure call.
 func (r *Runner) SetKeepGoing(v bool) { r.keepGoing = v }
 
 // SetRunTimeout arms a per-run watchdog: a simulation that exceeds d
@@ -205,7 +212,22 @@ func Cacheable(cfg config.Config) bool {
 // actual simulation. Concurrent callers for the same config hash join
 // the in-flight computation (singleflight).
 func (r *Runner) Run(cfg config.Config) (sim.Result, error) {
-	h := cfg.Hash()
+	return r.runWith(cfg, cfg.Hash(), nil)
+}
+
+// runWith is Run for a config whose hash h is already known. Inside an
+// Ensure pass, slot is the warm slot cfg shares with the other runs of
+// its warm key (nil when it has none): a simulation then goes through
+// the slot, and every other outcome passes its use of the slot on.
+func (r *Runner) runWith(cfg config.Config, h string, slot *warmSlot) (sim.Result, error) {
+	simulated := false
+	if slot != nil {
+		defer func() {
+			if !simulated {
+				slot.skip()
+			}
+		}()
+	}
 	r.mu.Lock()
 	if res, ok := r.results[h]; ok {
 		r.mu.Unlock()
@@ -254,7 +276,12 @@ func (r *Runner) Run(cfg config.Config) (sim.Result, error) {
 		}
 	}
 	if !fromCache && c.err == nil {
-		c.res, c.err = r.execute(cfg)
+		simulated = true
+		if slot != nil {
+			c.res, c.err = r.executePooled(cfg, slot)
+		} else {
+			c.res, c.err = r.execute(cfg, r.run)
+		}
 	}
 
 	r.mu.Lock()
@@ -291,20 +318,36 @@ func (r *Runner) Run(cfg config.Config) (sim.Result, error) {
 }
 
 // Ensure computes every missing config through a bounded worker pool and
-// returns the first error in the order given. Duplicates are launched
+// returns the first error in dispatch order. Duplicates are launched
 // once: a joiner blocked on the singleflight would otherwise hold a
 // worker slot for the whole in-flight simulation.
 //
-// The pool dispatches the distinct configs strictly in order, so the
-// error Ensure reports is deterministic at every worker count: when a
-// run fails, dispatch stops (in-flight siblings drain, and at most one
-// already-offered index — necessarily above the failing one — still
+// Warm-up is shared within the pass. The distinct configs are
+// dispatched grouped by warm key (sim.WarmKeyOf) — groups in order of
+// their first occurrence, spec order within a group, a config without a
+// key a group of its own — so the runs of one key start together. For a
+// key with two or more runs still to compute, the first run to need a
+// simulation warms up once (sim.Warmup) and the others wait for it and
+// run their timed regions from a copy of its snapshot (sim.RunFrom),
+// which gives the result sim.Run would. The snapshot is dropped once the
+// last run of its key has copied it; nothing outlives the pass. If the
+// shared warm-up panics, fails or trips the watchdog, that failure is
+// the owning config's alone and the waiters warm up for themselves.
+//
+// The dispatch order is a function of the configs alone, never of the
+// worker count, and the pool dispatches strictly in it, so the error
+// Ensure reports is deterministic at every worker count: when a run
+// fails, dispatch stops (in-flight siblings drain, and at most one
+// already-offered position — necessarily after the failing one — still
 // starts), and in-order dispatch guarantees every config before the
-// lowest failing index has already run to completion — making
-// "lowest-index recorded error" independent of goroutine scheduling.
-// Results are equally order-independent: runs commit into the
-// hash-keyed memo and the table/sweep renderers read them back in spec
-// order, so parallel output is bit-identical to sequential.
+// first failing position has already run to completion — making "first
+// recorded error in dispatch order" independent of goroutine
+// scheduling. Sharing a warm-up does not change which configs fail: a
+// restored run fails exactly where a full one would, and a waiter whose
+// shared warm-up failed runs in full. Results are equally
+// order-independent: runs commit into the hash-keyed memo and the
+// table/sweep renderers read them back in spec order, so parallel output
+// is bit-identical to sequential.
 //
 // With SetKeepGoing(true) a failure does not stop dispatch: every
 // config runs (and every success lands in the persistent cache, so a
@@ -316,14 +359,17 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 	keepGoing := r.keepGoing
 	hashes := make([]string, len(cfgs))
 	var distinct []config.Config
+	var dhashes []string
 	seen := make(map[string]bool, len(cfgs))
 	for i, cfg := range cfgs {
 		hashes[i] = cfg.Hash()
 		if !seen[hashes[i]] {
 			seen[hashes[i]] = true
 			distinct = append(distinct, cfg)
+			dhashes = append(dhashes, hashes[i])
 		}
 	}
+	order, slots := r.warmPlan(distinct, dhashes)
 
 	var (
 		stop     = make(chan struct{}) // closed on the first failure
@@ -334,13 +380,13 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 		done   int
 		start  = time.Now()
 	)
-	// In-order dispatch: an unbuffered channel hands out index i only
-	// after every j < i was handed out (the determinism proof above
-	// leans on this).
+	// In-order dispatch: an unbuffered channel hands out position p only
+	// after every earlier position was handed out (the determinism proof
+	// above leans on this).
 	idxCh := make(chan int)
 	go func() {
 		defer close(idxCh)
-		for i := range distinct {
+		for _, i := range order {
 			// Check stop before offering: with a worker already blocked
 			// on idxCh both select cases would be ready and Go picks
 			// randomly, which would keep dealing work after a failure.
@@ -369,14 +415,14 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				// Every received index runs, even one that slipped
+				// Every received config runs, even one that slipped
 				// through the dispatcher's send in the same instant a
 				// failure cancelled the pass: in-order dispatch means
-				// such a straggler is strictly above the failing index,
+				// such a straggler comes strictly after the failing one,
 				// so running it costs at most one extra run — while
-				// skipping it here could skip an index received BEFORE
-				// the failure and break the lowest-failing-index proof.
-				if _, err := r.Run(distinct[i]); err != nil && !keepGoing {
+				// skipping it here could skip a config received BEFORE
+				// the failure and break the first-failure proof.
+				if _, err := r.runWith(distinct[i], dhashes[i], slots[i]); err != nil && !keepGoing {
 					cancel()
 				}
 				if r.progress != nil {
@@ -415,9 +461,9 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !keepGoing {
-		for i, h := range hashes {
-			if err := r.errs[h]; err != nil {
-				cfg := cfgs[i]
+		for _, i := range order {
+			if err := r.errs[dhashes[i]]; err != nil {
+				h, cfg := dhashes[i], distinct[i]
 				return fmt.Errorf("exp: run %.12s… (%v/%v %v seed %d): %w",
 					h, cfg.Design, cfg.Org, cfg.Benchmarks, cfg.Seed, err)
 			}
@@ -437,6 +483,55 @@ func (r *Runner) Ensure(cfgs []config.Config) error {
 		}
 	}
 	return errors.Join(joined...)
+}
+
+// warmPlan returns the dispatch order of an Ensure pass over the
+// distinct configs (their indices, grouped by warm key) and, per config,
+// the warm slot it shares with the other not-yet-memoized runs of its
+// key, or nil.
+func (r *Runner) warmPlan(distinct []config.Config, hashes []string) (order []int, slots []*warmSlot) {
+	var groups [][]int
+	groupOf := make(map[string]int, len(distinct))
+	keys := make([]string, len(distinct))
+	for i, cfg := range distinct {
+		key, ok := sim.WarmKeyOf(cfg)
+		if !ok {
+			groups = append(groups, []int{i})
+			continue
+		}
+		keys[i] = key
+		if g, ok := groupOf[key]; ok {
+			groups[g] = append(groups[g], i)
+			continue
+		}
+		groupOf[key] = len(groups)
+		groups = append(groups, []int{i})
+	}
+
+	slots = make([]*warmSlot, len(distinct))
+	order = make([]int, 0, len(distinct))
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, g := range groups {
+		order = append(order, g...)
+		if keys[g[0]] == "" {
+			continue
+		}
+		var todo []int
+		for _, i := range g {
+			if _, ok := r.results[hashes[i]]; !ok && r.errs[hashes[i]] == nil {
+				todo = append(todo, i)
+			}
+		}
+		if len(todo) < 2 {
+			continue
+		}
+		s := newWarmSlot(len(todo))
+		for _, i := range todo {
+			slots[i] = s
+		}
+	}
+	return order, slots
 }
 
 // result returns a memoized run (Ensure must have succeeded for cfg).

@@ -10,6 +10,8 @@
 // hardware design exploits.
 package mempred
 
+import "fmt"
+
 // TableSize is the number of counters per core; MAP-I uses a 256-entry
 // table (96 bytes per core at 3 bits each).
 const TableSize = 256
@@ -84,4 +86,19 @@ func (m *MAPI) Update(core int, pc uint64, predictedMiss, wasHit bool) {
 	default:
 		m.CorrectHit++
 	}
+}
+
+// CopyFrom overwrites the predictor's counters and accuracy statistics
+// with those of src, which must serve the same number of cores.
+func (m *MAPI) CopyFrom(src *MAPI) error {
+	if len(src.table) != len(m.table) {
+		return fmt.Errorf("mempred: copying a %d-core predictor into a %d-core one", len(src.table), len(m.table))
+	}
+	table := m.table
+	*m = *src
+	m.table = table
+	for i, row := range src.table {
+		copy(table[i], row)
+	}
+	return nil
 }

@@ -1,11 +1,16 @@
 // Package sim assembles a complete system from a config — cores, L1s,
 // the shared L2, the DRAM cache with its per-channel controllers, and
 // main memory — performs functional warm-up, runs the timed region, and
-// collects every statistic the experiments consume.
+// collects every statistic the experiments consume. Warmup and RunFrom
+// split a run at the warm-up boundary, so runs that share a warm key
+// (WarmKeyOf) can start from one snapshot instead of each warming up.
 package sim
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 
@@ -180,18 +185,45 @@ func (rs *runSources) closeFiles() error {
 // and must stay nil outside tests.
 var testEngineHook func(*event.Engine)
 
-// Run executes one simulation and returns its results.
-func Run(cfg config.Config) (Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+// system is one assembled simulator: the operation sources, the event
+// engine, and every component from the cores down to main memory.
+type system struct {
+	srcs  *runSources
+	eng   *event.Engine
+	mem   *mainmem.Memory
+	dc    *dcache.DCache
+	l2arr *cache.Cache
+	l2    *cpu.L2
+	l1s   []*cache.Cache
+	cores []*cpu.Core
+
+	finished bool // the timed region completed and the sources were finished
+}
+
+// release discards the sources of a run that did not finish — failed,
+// or panicked anywhere after build — removing a partial recording.
+func (s *system) release() {
+	if !s.finished {
+		s.srcs.abort()
 	}
-	srcs, err := openSources(&cfg)
-	if err != nil {
-		return Result{}, err
+}
+
+// build assembles the system a validated cfg describes. With a warm
+// state the cores draw from clones of its generators; otherwise
+// openSources resolves them (rewriting cfg's budgets on replay). On
+// error the sources are already released.
+func build(cfg *config.Config, ws *WarmState) (s *system, err error) {
+	var srcs *runSources
+	if ws != nil {
+		srcs = &runSources{names: append([]string(nil), cfg.Benchmarks...)}
+		for _, g := range ws.gens {
+			srcs.srcs = append(srcs.srcs, g.Clone())
+		}
+	} else if srcs, err = openSources(cfg); err != nil {
+		return nil, err
 	}
-	finished := false
 	defer func() {
-		if !finished {
+		if err != nil {
 			srcs.abort()
 		}
 	}()
@@ -218,60 +250,68 @@ func Run(cfg config.Config) (Result, error) {
 	}
 	dc, err := dcache.New(eng, dcCfg, mem)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 
 	l2arr, err := cache.New(cfg.L2Bytes, dcache.BlockBytes, cfg.L2Ways)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	l2 := cpu.NewL2(eng, l2arr, dc, cfg.L2HitLat, cfg.LeeWriteback)
 
-	cores := make([]*cpu.Core, len(srcs.srcs))
+	s = &system{srcs: srcs, eng: eng, mem: mem, dc: dc, l2arr: l2arr, l2: l2}
 	for i, src := range srcs.srcs {
 		l1, err := cache.New(cfg.L1Bytes, dcache.BlockBytes, cfg.L1Ways)
 		if err != nil {
-			return Result{}, err
+			return nil, err
 		}
-		cores[i] = cpu.NewCore(eng, i, cfg.CPU, src, l1, l2)
+		s.l1s = append(s.l1s, l1)
+		s.cores = append(s.cores, cpu.NewCore(eng, i, cfg.CPU, src, l1, l2))
 	}
+	return s, nil
+}
 
-	// Functional warm-up: interleave the cores in rounds so shared L2 and
-	// DRAM-cache state see the multiprogrammed interleaving, then clear
-	// all statistics.
+// warm is the functional warm-up: it interleaves the cores in rounds so
+// shared L2 and DRAM-cache state see the multiprogrammed interleaving,
+// then clears all statistics.
+func (s *system) warm(memops int64) {
 	const warmRound = 1024
-	for done := int64(0); done < cfg.WarmMemops; done += warmRound {
+	for done := int64(0); done < memops; done += warmRound {
 		n := warmRound
-		if cfg.WarmMemops-done < int64(n) {
-			n = int(cfg.WarmMemops - done)
+		if memops-done < int64(n) {
+			n = int(memops - done)
 		}
-		for _, c := range cores {
+		for _, c := range s.cores {
 			c.Warm(int64(n))
 		}
 	}
-	dc.ResetStats()
-	l2.ResetStats()
-	mem.ResetStats()
+	s.dc.ResetStats()
+	s.l2.ResetStats()
+	s.mem.ResetStats()
+}
 
-	// Timed region: run until every core retires its budget.
-	remaining := len(cores)
-	for _, c := range cores {
-		c.Run(cfg.InstrPerCore, func(*cpu.Core) { remaining-- })
+// timed runs the timed region until every core retires instrPerCore
+// instructions, then finishes the sources and collects the results.
+func (s *system) timed(instrPerCore int64) (Result, error) {
+	remaining := len(s.cores)
+	for _, c := range s.cores {
+		c.Run(instrPerCore, func(*cpu.Core) { remaining-- })
 	}
 	for remaining > 0 {
-		if !eng.Step() {
-			return Result{}, fmt.Errorf("sim: deadlock with %d cores unfinished at %v", remaining, eng.Now())
+		if !s.eng.Step() {
+			return Result{}, fmt.Errorf("sim: deadlock with %d cores unfinished at %v", remaining, s.eng.Now())
 		}
 	}
 	// Any error — including a replay decode error surfaced here — takes
-	// the deferred abort path, which discards a partial recording.
-	if err := srcs.finish(); err != nil {
+	// the caller's deferred release, which discards a partial recording.
+	if err := s.srcs.finish(); err != nil {
 		return Result{}, err
 	}
-	finished = true
+	s.finished = true
 
+	dc, l2, mem := s.dc, s.l2, s.mem
 	res := Result{
-		Benchmarks:      append([]string(nil), srcs.names...),
+		Benchmarks:      append([]string(nil), s.srcs.names...),
 		DCache:          dc.Stats(),
 		DRAM:            dc.DRAMStats(),
 		Ctrl:            dc.CtrlStats(),
@@ -289,11 +329,151 @@ func Run(cfg config.Config) (Result, error) {
 		res.TagCacheLookups = tc.Lookups
 		res.TagCacheHits = tc.Hits
 	}
-	for _, c := range cores {
+	for _, c := range s.cores {
 		res.IPC = append(res.IPC, c.IPC())
 		res.FinishNS = append(res.FinishNS, c.FinishTime().NS())
 	}
 	return res, nil
+}
+
+// Run executes one simulation and returns its results.
+func Run(cfg config.Config) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	s, err := build(&cfg, nil)
+	if err != nil {
+		return Result{}, err
+	}
+	defer s.release()
+	s.warm(cfg.WarmMemops)
+	return s.timed(cfg.InstrPerCore)
+}
+
+// warmKey is the projection of a config that functional warm-up reads:
+// the operation streams (benchmarks, seed, working-set scale, warm-up
+// budget) and the shape of every array they warm (L1, L2, the DRAM
+// cache's organization and DRAM geometry, MAP-I). Everything else —
+// design, policy and its parameters, controller queues, DRAM and main
+// memory timing, the CPU, XOR remapping, the tag cache, Lee writeback,
+// the BEAR probe, the timed budget — only acts in the timed region.
+type warmKey struct {
+	Benchmarks             []string
+	Seed                   uint64
+	WSScale                float64
+	WarmMemops             int64
+	L1Bytes, L2Bytes       int64
+	L1Ways, L2Ways         int
+	CacheSizeBytes         int64
+	Org                    dcache.Org
+	Channels, Ranks, Banks int
+	RowBytes               int
+	UseMAPI                bool
+}
+
+// WarmKeyOf returns the key of the state cfg's functional warm-up ends
+// in: runs whose configs share a key start their timed regions from
+// identical warm states, so one Warmup can seed all of them through
+// RunFrom. Trace replay and recording runs have no key (false): their
+// streams live in files, outside the config.
+func WarmKeyOf(cfg config.Config) (string, bool) {
+	if cfg.ReplayPath() != "" || cfg.RecordPath != "" {
+		return "", false
+	}
+	enc, err := json.Marshal(warmKey{
+		Benchmarks:     cfg.Benchmarks,
+		Seed:           cfg.Seed,
+		WSScale:        cfg.WSScale,
+		WarmMemops:     cfg.WarmMemops,
+		L1Bytes:        cfg.L1Bytes,
+		L2Bytes:        cfg.L2Bytes,
+		L1Ways:         cfg.L1Ways,
+		L2Ways:         cfg.L2Ways,
+		CacheSizeBytes: cfg.CacheSizeBytes,
+		Org:            cfg.Org,
+		Channels:       cfg.Channels,
+		Ranks:          cfg.Ranks,
+		Banks:          cfg.Banks,
+		RowBytes:       cfg.RowBytes,
+		UseMAPI:        cfg.UseMAPI,
+	})
+	if err != nil {
+		return "", false // unreachable: every field marshals
+	}
+	sum := sha256.Sum256(enc)
+	return hex.EncodeToString(sum[:]), true
+}
+
+// WarmState is the functional state one warm-up leaves behind: the L1
+// and L2 arrays with their LRU clocks, the DRAM-cache tags and MAP-I
+// tables, and each core's generator with its RNG position. It is never
+// modified after Warmup returns, so any number of RunFrom calls may
+// copy it concurrently.
+type WarmState struct {
+	key  string
+	l1s  []cache.State
+	l2   cache.State
+	dc   dcache.WarmState
+	gens []*workload.Gen
+}
+
+// Warmup builds the system cfg describes, runs its functional warm-up,
+// and moves the warmed state into a WarmState without copying it.
+func Warmup(cfg config.Config) (*WarmState, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	key, ok := WarmKeyOf(cfg)
+	if !ok {
+		return nil, fmt.Errorf("sim: trace replay and recording runs have no reusable warm state")
+	}
+	s, err := build(&cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	s.warm(cfg.WarmMemops)
+	ws := &WarmState{key: key, l2: s.l2arr.MoveState(), dc: s.dc.MoveWarmState()}
+	for i, l1 := range s.l1s {
+		ws.l1s = append(ws.l1s, l1.MoveState())
+		ws.gens = append(ws.gens, s.srcs.srcs[i].(*workload.Gen))
+	}
+	return ws, nil
+}
+
+// RunFrom executes cfg's simulation from a warm state instead of warming
+// up: it builds the system, copies ws into it, and runs the timed
+// region. ws must come from Warmup of a config with cfg's warm key; the
+// result is then identical to Run(cfg). ws is only read.
+func RunFrom(cfg config.Config, ws *WarmState) (Result, error) {
+	if err := cfg.Validate(); err != nil {
+		return Result{}, err
+	}
+	if key, ok := WarmKeyOf(cfg); !ok || ws == nil || key != ws.key {
+		return Result{}, fmt.Errorf("sim: warm state does not match the config's warm key")
+	}
+	s, err := build(&cfg, ws)
+	if err != nil {
+		return Result{}, err
+	}
+	defer s.release()
+	if err := s.restore(ws); err != nil {
+		return Result{}, err
+	}
+	return s.timed(cfg.InstrPerCore)
+}
+
+// restore copies ws's arrays into the system's (the generators were
+// cloned by build).
+func (s *system) restore(ws *WarmState) error {
+	if err := s.l2arr.CopyState(ws.l2); err != nil {
+		return err
+	}
+	for i, l1 := range s.l1s {
+		if err := l1.CopyState(ws.l1s[i]); err != nil {
+			return err
+		}
+	}
+	return s.dc.CopyWarmState(ws.dc)
 }
 
 // AloneIPC runs a single benchmark alone on the given configuration and

@@ -185,3 +185,13 @@ func (g *Gen) Next() Op {
 	g.lastAddr = addr
 	return Op{Gap: gap, Store: store, Addr: addr, PC: pc}
 }
+
+// Clone returns an independent generator at g's current position: both
+// produce the same stream from here on, and advancing one leaves the
+// other where it was.
+func (g *Gen) Clone() *Gen {
+	c := *g
+	r := *g.rng
+	c.rng = &r
+	return &c
+}
