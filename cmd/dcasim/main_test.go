@@ -44,14 +44,15 @@ func runMain(t *testing.T, args ...string) (int, string) {
 	return 0, ""
 }
 
-// TestConfigFileTooManyBanksFailsCleanly: a -config scenario whose
-// channels have more banks than the controller supports must fail with
-// an error, not crash the process with a panic.
-func TestConfigFileTooManyBanksFailsCleanly(t *testing.T) {
+// configFileFailsCleanly saves the test-scale config, changed by mutate,
+// runs the command on it, and requires exit code 1 with an error that
+// contains want, not a panic.
+func configFileFailsCleanly(t *testing.T, mutate func(*config.Config), want string) {
+	t.Helper()
 	cfg := config.Test()
 	cfg.Benchmarks = []string{"mcf"}
-	cfg.Banks = 128
-	path := filepath.Join(t.TempDir(), "banks.json")
+	mutate(&cfg)
+	path := filepath.Join(t.TempDir(), "cfg.json")
 	if err := config.Save(path, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,20 @@ func TestConfigFileTooManyBanksFailsCleanly(t *testing.T) {
 	if strings.Contains(stderr, "panic") || strings.Contains(stderr, "goroutine") {
 		t.Fatalf("the command panicked:\n%s", stderr)
 	}
-	if !strings.Contains(stderr, "128 banks") {
-		t.Fatalf("the error does not name the bank count:\n%s", stderr)
+	if !strings.Contains(stderr, want) {
+		t.Fatalf("the error does not contain %q:\n%s", want, stderr)
 	}
+}
+
+// TestConfigFileTooManyBanksFailsCleanly: a -config scenario whose
+// channels have more banks than the controller supports must fail with
+// an error, not crash the process with a panic.
+func TestConfigFileTooManyBanksFailsCleanly(t *testing.T) {
+	configFileFailsCleanly(t, func(c *config.Config) { c.Banks = 128 }, "128 banks")
+}
+
+// TestConfigFileZeroWidthFailsCleanly: a zero dispatch width is a config
+// error, not an integer divide by zero in the core model.
+func TestConfigFileZeroWidthFailsCleanly(t *testing.T) {
+	configFileFailsCleanly(t, func(c *config.Config) { c.CPU.Width = 0 }, "dispatch width")
 }

@@ -22,8 +22,7 @@
 // flags — one recording drives any controller design and organization.
 // -alg selects the base scheduling algorithm by registered policy name
 // (see `dcasim -list-policies` and docs/adding-a-policy.md).
-// -verify performs the round trip for every registered design ×
-// organization (the grid follows the design registry) and
+// -verify performs the round trip for every design × organization and
 // fails loudly unless each replayed result is bit-identical to its live
 // counterpart; the grid fans out over -j parallel workers (default: all
 // CPUs) with output committed in grid order. The live halves of the
@@ -195,8 +194,6 @@ func runVerify(mix, cfgName, alg string, seed uint64, workers int, cacheDir stri
 		d core.Design
 		o dcache.Org
 	}
-	// The grid spans the design registry, not a hard-coded list, so a
-	// newly registered design is verified without touching this command.
 	var cells []cell
 	for _, d := range core.Designs() {
 		for _, o := range []dcache.Org{dcache.SetAssoc, dcache.DirectMapped} {

@@ -1,7 +1,9 @@
-// Package cache implements the functional SRAM caches of the hierarchy
-// above the DRAM cache: per-core L1s and the shared L2. The caches are
-// functional (hit/miss and replacement state); their latencies are
-// charged by the CPU model, which is where timing lives.
+// Package cache implements the simulator's one set-associative LRU
+// array and its warm-state snapshot. Every level keeps its functional
+// state in a Cache: the per-core L1s and the shared L2, the DRAM cache's
+// tags-in-DRAM array (internal/dcache), and the SRAM tag cache of the
+// Fig. 18 study (internal/tagcache). The array is functional (hit/miss
+// and replacement state); latencies are charged by its users.
 package cache
 
 import (
@@ -9,7 +11,11 @@ import (
 	"math/bits"
 )
 
-// Cache is a set-associative, write-back, write-allocate cache with LRU
+// MaxWays bounds the associativity so a way's LRU rank within its set
+// fits the byte a State keeps for it.
+const MaxWays = 256
+
+// Cache is a set-associative, write-back, write-allocate array with LRU
 // replacement over block addresses (physical address >> log2(block)).
 type Cache struct {
 	sets int64
@@ -22,21 +28,17 @@ type Cache struct {
 	setMask  int64
 	setShift uint
 
-	// lines packs each way's tag, LRU stamp, and dirty bit into one
-	// 16-byte record so a set's state is contiguous (a two-way L1 set is
-	// a single CPU cache line; a 16-way L2 set is four sequential ones).
-	// emptyTag marks an invalid way.
-	lines []line
+	// Flat arrays indexed by set*ways+way. The hit scan reads only tag
+	// words (the 15 of a DRAM-cache set span two CPU cache lines), with
+	// emptyTag marking an invalid way; lru and dirty are loaded only for
+	// the hit way or on the victim scan of a miss.
+	tag   []int64
+	lru   []uint32
+	dirty []bool
 	tick  uint32
 
 	Hits   int64
 	Misses int64
-}
-
-type line struct {
-	tag   int64
-	lru   uint32
-	dirty bool
 }
 
 // emptyTag marks an invalid way. Real tags are block addresses divided by
@@ -44,10 +46,13 @@ type line struct {
 const emptyTag = int64(-1)
 
 // New builds a cache of the given total size. sizeBytes must be a
-// multiple of blockBytes*ways.
+// multiple of blockBytes*ways, and ways at most MaxWays.
 func New(sizeBytes int64, blockBytes, ways int) (*Cache, error) {
 	if sizeBytes <= 0 || blockBytes <= 0 || ways <= 0 {
 		return nil, fmt.Errorf("cache: non-positive parameter size=%d block=%d ways=%d", sizeBytes, blockBytes, ways)
+	}
+	if ways > MaxWays {
+		return nil, fmt.Errorf("cache: %d ways exceeds the maximum of %d", ways, MaxWays)
 	}
 	blocks := sizeBytes / int64(blockBytes)
 	if blocks%int64(ways) != 0 {
@@ -58,10 +63,12 @@ func New(sizeBytes int64, blockBytes, ways int) (*Cache, error) {
 	c := &Cache{
 		sets:  sets,
 		ways:  ways,
-		lines: make([]line, n),
+		tag:   make([]int64, n),
+		lru:   make([]uint32, n),
+		dirty: make([]bool, n),
 	}
-	for i := range c.lines {
-		c.lines[i].tag = emptyTag
+	for i := range c.tag {
+		c.tag[i] = emptyTag
 	}
 	if sets&(sets-1) == 0 {
 		c.setsPow2 = true
@@ -72,6 +79,8 @@ func New(sizeBytes int64, blockBytes, ways int) (*Cache, error) {
 }
 
 // split maps a block address to its (set, tag) pair.
+//
+//dcalint:noalloc
 func (c *Cache) split(blockAddr int64) (set, tag int64) {
 	if c.setsPow2 {
 		return blockAddr & c.setMask, blockAddr >> c.setShift
@@ -85,114 +94,125 @@ func (c *Cache) Sets() int64 { return c.sets }
 // Ways returns the associativity.
 func (c *Cache) Ways() int { return c.ways }
 
-func (c *Cache) idx(set int64, way int) int64 { return set*int64(c.ways) + int64(way) }
-
-func (c *Cache) find(blockAddr int64) (set int64, way int) {
-	set, t := c.split(blockAddr)
-	base := set * int64(c.ways)
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+int64(w)].tag == t {
-			return set, w
+// find returns the set of blockAddr, the index of its set's first way,
+// and the way holding it, or -1.
+//
+//dcalint:noalloc
+func (c *Cache) find(blockAddr int64) (set, base int64, way int) {
+	set, tg := c.split(blockAddr)
+	base = set * int64(c.ways)
+	for w, t := range c.tag[base : base+int64(c.ways)] {
+		if t == tg {
+			return set, base, w
 		}
 	}
-	return set, -1
+	return set, base, -1
 }
 
 // Result reports the outcome of an Access.
 type Result struct {
 	Hit         bool
+	Set         int64 // the set of the accessed block
+	Way         int   // the way it hit in or was filled into
 	VictimAddr  int64 // block displaced by the allocation (misses only)
 	VictimValid bool
 	VictimDirty bool
 }
 
 // Access performs a load (write=false) or store (write=true) with
-// allocate-on-miss semantics and returns the displaced victim, if any.
-// This is the hottest loop of the whole simulator (every warm-up
-// operation and every timed memory operation passes through it), so it
-// looks up the tag and picks the victim in one scan of the set: the
-// victim is the first invalid way, else the least recently used one.
+// allocate-on-miss semantics and returns where the block now lives and
+// the displaced victim, if any. This is the hottest loop of the whole
+// simulator: every warm-up operation and every timed memory operation
+// passes through it at each level.
+//
+//dcalint:noalloc
 func (c *Cache) Access(blockAddr int64, write bool) Result {
-	set, tg := c.split(blockAddr)
-	ws := c.lines[set*int64(c.ways) : (set+1)*int64(c.ways)]
 	c.tick++
-	victim, empty := -1, -1
-	var oldest uint32
-	for w := range ws {
-		l := &ws[w]
-		if l.tag == tg {
+	set, tg := c.split(blockAddr)
+	base := set * int64(c.ways)
+	for w, t := range c.tag[base : base+int64(c.ways)] {
+		if t == tg {
 			c.Hits++
-			l.lru = c.tick
+			i := base + int64(w)
+			c.lru[i] = c.tick
 			if write {
-				l.dirty = true
+				c.dirty[i] = true
 			}
-			return Result{Hit: true}
-		}
-		if l.tag == emptyTag {
-			if empty < 0 {
-				empty = w
-			}
-		} else if victim < 0 || l.lru < oldest {
-			victim, oldest = w, l.lru
+			return Result{Hit: true, Set: set, Way: w}
 		}
 	}
 	c.Misses++
-	if empty >= 0 {
-		victim = empty
+	way := c.victim(base)
+	i := base + int64(way)
+	old, wasDirty := c.tag[i], c.dirty[i]
+	c.tag[i], c.dirty[i], c.lru[i] = tg, write, c.tick
+	if old == emptyTag {
+		return Result{Set: set, Way: way}
 	}
-	l := &ws[victim]
-	res := Result{}
-	if l.tag != emptyTag {
-		res.VictimAddr = l.tag*c.sets + set
-		res.VictimValid = true
-		res.VictimDirty = l.dirty
+	return Result{Set: set, Way: way, VictimAddr: old*c.sets + set, VictimValid: true, VictimDirty: wasDirty}
+}
+
+// victim returns the way to replace in the set starting at base: the
+// first invalid way, else the least recently used one.
+//
+//dcalint:noalloc
+func (c *Cache) victim(base int64) int {
+	tags := c.tag[base : base+int64(c.ways)]
+	lru := c.lru[base : base+int64(c.ways)]
+	victim := 0
+	for w, t := range tags {
+		if t == emptyTag {
+			return w
+		}
+		if lru[w] < lru[victim] {
+			victim = w
+		}
 	}
-	l.tag = tg
-	l.dirty = write
-	l.lru = c.tick
-	return res
+	return victim
 }
 
 // Touch performs a read-hit check in a single way scan: on a hit it
-// counts the hit and refreshes LRU state, exactly as Access would; on a
-// miss it changes nothing and counts nothing (allocation — and the miss
-// count — happen later, when the caller installs the fill). It exists so
-// no-allocate-on-miss callers don't pay a Probe scan plus an Access scan.
-func (c *Cache) Touch(blockAddr int64) bool {
-	set, tg := c.split(blockAddr)
-	ws := c.lines[set*int64(c.ways) : (set+1)*int64(c.ways)]
-	for w := range ws {
-		l := &ws[w]
-		if l.tag == tg {
-			c.Hits++
-			c.tick++
-			l.lru = c.tick
-			return true
-		}
+// counts the hit, refreshes LRU state exactly as Access would, and
+// returns the set and way; on a miss it returns way -1 and changes and
+// counts nothing (allocation, and the miss count, happen later, when the
+// caller installs the fill). It exists so no-allocate-on-miss callers
+// don't pay a Probe scan plus an Access scan.
+//
+//dcalint:noalloc
+func (c *Cache) Touch(blockAddr int64) (set int64, way int) {
+	set, base, way := c.find(blockAddr)
+	if way >= 0 {
+		c.Hits++
+		c.tick++
+		c.lru[base+int64(way)] = c.tick
 	}
-	return false
+	return set, way
 }
 
 // Probe reports presence without changing any state.
+//
+//dcalint:noalloc
 func (c *Cache) Probe(blockAddr int64) (present, dirty bool) {
-	set, way := c.find(blockAddr)
+	_, base, way := c.find(blockAddr)
 	if way < 0 {
 		return false, false
 	}
-	return true, c.lines[c.idx(set, way)].dirty
+	return true, c.dirty[base+int64(way)]
 }
 
 // Clean clears the dirty bit of blockAddr if present, returning whether
 // it was dirty. Used by the Lee DRAM-aware writeback policy, which
 // eagerly writes row-mates back and leaves them resident clean.
+//
+//dcalint:noalloc
 func (c *Cache) Clean(blockAddr int64) bool {
-	set, way := c.find(blockAddr)
+	_, base, way := c.find(blockAddr)
 	if way < 0 {
 		return false
 	}
-	l := &c.lines[c.idx(set, way)]
-	was := l.dirty
-	l.dirty = false
+	i := base + int64(way)
+	was := c.dirty[i]
+	c.dirty[i] = false
 	return was
 }
 
@@ -208,33 +228,109 @@ func (c *Cache) MissRate() float64 {
 // ResetStats clears hit/miss counters.
 func (c *Cache) ResetStats() { c.Hits, c.Misses = 0, 0 }
 
-// State is the replacement state of a Cache — every way's tag, dirty
-// bit and LRU stamp, plus the stamp clock — detached from the cache by
-// MoveState so that a warmed array can seed later caches of the same
-// shape.
+// State is a Cache's replacement state detached by MoveState, in the
+// compact form a warm-up snapshot keeps while runs wait to copy it: tags
+// narrowed to 32 bits when every one fits (the tag words are most of a
+// snapshot), dirty bits packed 64 to a word, and each way's LRU rank
+// within its set instead of its 32-bit stamp. Victim choice only
+// compares the stamps of valid ways of one set, so their order within
+// the set is all that must survive; a one-way set has no order, and no
+// ranks are kept for it.
 type State struct {
 	sets  int64
 	ways  int
-	lines []line
-	tick  uint32
+	tag   []int64  // the cache's own tag words, when some tag needs 64 bits
+	tag32 []uint32 // otherwise the tags narrowed, with empty32 for an invalid way
+	dirty []uint64
+	rank  []uint8 // nil when the cache is direct-mapped
 }
 
-// MoveState hands the cache's arrays to the returned State without
-// copying them. The cache must not be used afterwards.
+// empty32 marks an invalid way among narrowed tags.
+const empty32 = ^uint32(0)
+
+// MoveState detaches the cache's state into its compact form; the tag
+// words are taken without copying when they cannot be narrowed. The
+// cache must not be used afterwards.
 func (c *Cache) MoveState() State {
-	s := State{sets: c.sets, ways: c.ways, lines: c.lines, tick: c.tick}
-	c.lines = nil
+	s := State{sets: c.sets, ways: c.ways, dirty: make([]uint64, (len(c.tag)+63)/64)}
+	narrow := true
+	for _, tg := range c.tag {
+		if tg >= int64(empty32) {
+			narrow = false
+			break
+		}
+	}
+	if narrow {
+		s.tag32 = make([]uint32, len(c.tag))
+		for i, tg := range c.tag {
+			if tg == emptyTag {
+				s.tag32[i] = empty32
+			} else {
+				s.tag32[i] = uint32(tg)
+			}
+		}
+	} else {
+		s.tag = c.tag
+	}
+	for i, d := range c.dirty {
+		if d {
+			s.dirty[i/64] |= 1 << (i % 64)
+		}
+	}
+	if ways := c.ways; ways > 1 {
+		// rank = how many ways of the set carry an older stamp. Valid
+		// ways have distinct stamps (each access takes a fresh tick), so
+		// their ranks are distinct and ordered like the stamps; a set
+		// has at most MaxWays ways, so a rank fits a byte.
+		s.rank = make([]uint8, len(c.lru))
+		for base := 0; base < len(c.lru); base += ways {
+			set := c.lru[base : base+ways]
+			for w, stamp := range set {
+				r := 0
+				for _, other := range set {
+					if other < stamp {
+						r++
+					}
+				}
+				s.rank[base+w] = uint8(r)
+			}
+		}
+	}
+	c.tag, c.lru, c.dirty = nil, nil, nil
 	return s
 }
 
 // CopyState overwrites the cache's replacement state with a copy of s,
 // which stays untouched, so any number of caches may copy one State
-// concurrently. Hit and miss counters are left alone.
+// concurrently. Stamps are rebuilt from the ranks and the clock restarts
+// above every one of them, so each later victim choice is the one the
+// cache s was moved from would have made. Hit and miss counters are
+// left alone.
 func (c *Cache) CopyState(s State) error {
 	if s.sets != c.sets || s.ways != c.ways {
 		return fmt.Errorf("cache: state of %d sets x %d ways restored into %d x %d", s.sets, s.ways, c.sets, c.ways)
 	}
-	copy(c.lines, s.lines)
-	c.tick = s.tick
+	if s.tag32 == nil {
+		copy(c.tag, s.tag)
+	} else {
+		for i, tg := range s.tag32 {
+			if tg == empty32 {
+				c.tag[i] = emptyTag
+			} else {
+				c.tag[i] = int64(tg)
+			}
+		}
+	}
+	for i := range c.dirty {
+		c.dirty[i] = s.dirty[i/64]&(1<<(i%64)) != 0
+	}
+	if s.rank == nil {
+		clear(c.lru)
+	} else {
+		for i, r := range s.rank {
+			c.lru[i] = uint32(r)
+		}
+	}
+	c.tick = uint32(c.ways)
 	return nil
 }

@@ -21,6 +21,10 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(100, 64, 2); err == nil {
 		t.Error("non-divisible size accepted")
 	}
+	if _, err := New(MaxWays+1, 1, MaxWays+1); err == nil {
+		t.Errorf("%d ways accepted", MaxWays+1)
+	}
+	mustNew(t, MaxWays, 1, MaxWays)
 	c := mustNew(t, 32<<10, 64, 2)
 	if c.Sets() != 256 || c.Ways() != 2 {
 		t.Fatalf("32KB/2way: %d sets x %d ways, want 256x2", c.Sets(), c.Ways())
@@ -105,62 +109,96 @@ func TestProbeDoesNotTouch(t *testing.T) {
 	}
 }
 
+// shapes are the geometries the table-driven tests run over: the L1
+// (2-way) and L2 (16-way) associativities, the DRAM cache's 15 ways over
+// power-of-two sets and its direct-mapped organization over a set count
+// that is not one, and an 8-way tag cache over such sets too (the
+// 192 KB and 384 KB points of Fig. 18). Each runs with tags that narrow
+// to 32 bits in a State (base 0) and with tags that do not (base 1<<50).
+var shapes = []struct {
+	sets int64
+	ways int
+}{{16, 4}, {8, 2}, {8, 16}, {16, 15}, {12, 1}, {6, 8}}
+
+var bases = []int64{0, 1 << 50}
+
+// op is one access of a random stream: an Access, or a Touch when touch
+// is set.
+type op struct {
+	addr         int64
+	write, touch bool
+}
+
+// stream draws n ops over 3x the capacity of a sets x ways array.
+func stream(rnd *rand.Rand, base, sets int64, ways, n int) []op {
+	ops := make([]op, n)
+	for i := range ops {
+		ops[i] = op{
+			addr:  base + rnd.Int63n(3*sets*int64(ways)),
+			write: rnd.Intn(3) == 0,
+			touch: rnd.Intn(4) == 0,
+		}
+	}
+	return ops
+}
+
+// apply runs o on c, reporting a Touch as a Result (Hit and, on a hit,
+// Set and Way).
+func apply(c *Cache, o op) Result {
+	if o.touch {
+		set, way := c.Touch(o.addr)
+		if way < 0 {
+			return Result{Set: set, Way: -1}
+		}
+		return Result{Hit: true, Set: set, Way: way}
+	}
+	return c.Access(o.addr, o.write)
+}
+
 // TestAgainstReferenceModel drives the cache and a brute-force reference
-// (per-set LRU lists) with random traffic and requires identical
-// hit/miss/victim behaviour — a property check of the replacement logic.
+// (per-set LRU lists) with random traffic over every shape and requires
+// identical hits, sets, ways and victims — a property check of the
+// replacement logic. The first accesses meet partly empty sets, which
+// must fill their lowest invalid way and report no victim.
 func TestAgainstReferenceModel(t *testing.T) {
-	const (
-		sets  = 16
-		ways  = 4
-		block = 64
-	)
-	c := mustNew(t, sets*ways*block, block, ways)
 	type line struct {
 		addr  int64
+		way   int
 		dirty bool
 	}
-	ref := make([][]line, sets) // MRU first
+	for _, sh := range shapes {
+		for _, base := range bases {
+			sets, ways := sh.sets, sh.ways
+			c := mustNew(t, sets*int64(ways)*64, 64, ways)
+			ref := make([][]line, sets) // MRU first
+			rnd := rand.New(rand.NewSource(99))
+			for i, o := range stream(rnd, base, sets, ways, 20_000) {
+				set := o.addr % sets
+				want := Result{Set: set, Way: -1}
+				s := ref[set]
+				for j, ln := range s {
+					if ln.addr == o.addr {
+						want.Hit, want.Way = true, ln.way
+						ln.dirty = ln.dirty || (o.write && !o.touch)
+						s = append(append([]line{ln}, s[:j]...), s[j+1:]...)
+						break
+					}
+				}
+				if !want.Hit && !o.touch {
+					want.Way = len(s) // ways fill in order and are never invalidated
+					if len(s) == ways {
+						v := s[ways-1]
+						want.Way = v.way
+						want.VictimAddr, want.VictimValid, want.VictimDirty = v.addr, true, v.dirty
+						s = s[:ways-1]
+					}
+					s = append([]line{{addr: o.addr, way: want.Way, dirty: o.write}}, s...)
+				}
+				ref[set] = s
 
-	rnd := rand.New(rand.NewSource(99))
-	for op := 0; op < 20_000; op++ {
-		addr := int64(rnd.Intn(256))
-		write := rnd.Intn(3) == 0
-		set := addr % sets
-
-		// Reference behaviour.
-		refHit := false
-		var refVictim line
-		refVictimValid := false
-		s := ref[set]
-		for i, ln := range s {
-			if ln.addr == addr {
-				refHit = true
-				ln.dirty = ln.dirty || write
-				s = append(append([]line{ln}, s[:i]...), s[i+1:]...)
-				break
-			}
-		}
-		if !refHit {
-			if len(s) == ways {
-				refVictim = s[ways-1]
-				refVictimValid = true
-				s = s[:ways-1]
-			}
-			s = append([]line{{addr: addr, dirty: write}}, s...)
-		}
-		ref[set] = s
-
-		got := c.Access(addr, write)
-		if got.Hit != refHit {
-			t.Fatalf("op %d addr %d: hit=%v, reference says %v", op, addr, got.Hit, refHit)
-		}
-		if !refHit {
-			if got.VictimValid != refVictimValid {
-				t.Fatalf("op %d: victimValid=%v, reference %v", op, got.VictimValid, refVictimValid)
-			}
-			if refVictimValid && (got.VictimAddr != refVictim.addr || got.VictimDirty != refVictim.dirty) {
-				t.Fatalf("op %d: victim %d/%v, reference %d/%v",
-					op, got.VictimAddr, got.VictimDirty, refVictim.addr, refVictim.dirty)
+				if got := apply(c, o); got != want {
+					t.Fatalf("%d sets x %d ways, base %d: op %d %+v: got %+v, reference %+v", sets, ways, base, i, o, got, want)
+				}
 			}
 		}
 	}
@@ -182,36 +220,47 @@ func TestMissRate(t *testing.T) {
 	}
 }
 
-// TestCopyStateContinuesLikeTheOriginal: caches restored from a moved
-// state behave exactly like an untouched twin, and restoring leaves the
-// state itself unchanged for the next copy.
+// TestCopyStateContinuesLikeTheOriginal is the differential check of
+// the compact State encoding: caches restored from a moved state (ranks
+// instead of stamps, packed dirty bits, narrowed tags when they fit)
+// must see every hit and choose every victim exactly as an untouched
+// twin does, over every shape, with sets left partly empty, and the
+// restores must leave the state itself unchanged for the next copy.
 func TestCopyStateContinuesLikeTheOriginal(t *testing.T) {
-	const size, block, ways = 16 * 4 * 64, 64, 4
-	warm, twin := mustNew(t, size, block, ways), mustNew(t, size, block, ways)
-	rnd := rand.New(rand.NewSource(5))
-	for op := 0; op < 500; op++ {
-		addr, write := int64(rnd.Intn(256)), rnd.Intn(3) == 0
-		warm.Access(addr, write)
-		twin.Access(addr, write)
-	}
-	s := warm.MoveState()
-	a, b := mustNew(t, size, block, ways), mustNew(t, size, block, ways)
-	for _, c := range []*Cache{a, b} {
-		if err := c.CopyState(s); err != nil {
-			t.Fatal(err)
+	for _, sh := range shapes {
+		for _, base := range bases {
+			size, ways := sh.sets*int64(sh.ways)*64, sh.ways
+			warm, twin := mustNew(t, size, 64, ways), mustNew(t, size, 64, ways)
+			rnd := rand.New(rand.NewSource(5))
+			// Fewer accesses than blocks: many sets keep invalid ways.
+			for _, o := range stream(rnd, base, sh.sets, ways, int(sh.sets)*ways/2) {
+				apply(warm, o)
+				apply(twin, o)
+			}
+			s := warm.MoveState()
+			if narrow := s.tag32 != nil; narrow != (base == 0) {
+				t.Fatalf("%d sets x %d ways, base %d: narrowed=%v", sh.sets, ways, base, narrow)
+			}
+			if (s.rank == nil) != (ways == 1) {
+				t.Fatalf("%d sets x %d ways: ranks kept=%v", sh.sets, ways, s.rank != nil)
+			}
+			restored := []*Cache{mustNew(t, size, 64, ways), mustNew(t, size, 64, ways)}
+			for _, c := range restored {
+				if err := c.CopyState(s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, o := range stream(rnd, base, sh.sets, ways, 5_000) {
+				want := apply(twin, o)
+				for k, c := range restored {
+					if got := apply(c, o); got != want {
+						t.Fatalf("%d sets x %d ways, base %d: op %d %+v on restored cache %d: got %+v, twin %+v", sh.sets, ways, base, i, o, k, got, want)
+					}
+				}
+			}
+			if err := mustNew(t, 2*size, 64, ways).CopyState(s); err == nil {
+				t.Fatal("state restored into a cache of another shape")
+			}
 		}
-	}
-	for op := 0; op < 5_000; op++ {
-		addr, write := int64(rnd.Intn(256)), rnd.Intn(3) == 0
-		want := twin.Access(addr, write)
-		if got := a.Access(addr, write); got != want {
-			t.Fatalf("op %d: restored cache %+v, twin %+v", op, got, want)
-		}
-		if got := b.Access(addr, write); got != want {
-			t.Fatalf("op %d: second restored cache %+v, twin %+v", op, got, want)
-		}
-	}
-	if err := mustNew(t, 2*size, block, ways).CopyState(s); err == nil {
-		t.Fatal("state restored into a cache of another shape")
 	}
 }

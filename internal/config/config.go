@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"dcasim/internal/addrmap"
+	"dcasim/internal/cache"
 	"dcasim/internal/core"
 	"dcasim/internal/cpu"
 	"dcasim/internal/dcache"
@@ -203,7 +204,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: %d ranks x %d banks = %d banks per channel, the controller supports at most %d",
 			c.Ranks, c.Banks, nb, core.MaxBanksPerChannel)
 	}
+	if err := c.Timing.Validate(); err != nil {
+		return err
+	}
 	if err := c.CtrlConfig().Validate(); err != nil {
+		return err
+	}
+	if err := c.CPU.Validate(); err != nil {
 		return err
 	}
 	// With an explicit Ctrl the controller consumes Ctrl.Design and
@@ -228,8 +235,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("config: non-positive instruction budget %d", c.InstrPerCore)
 	case c.WSScale <= 0 && c.ReplayPath() == "":
 		return fmt.Errorf("config: non-positive working-set scale %v", c.WSScale)
+	case c.WarmMemops < 0:
+		return fmt.Errorf("config: negative warm-up budget %d", c.WarmMemops)
 	case c.L1Bytes <= 0 || c.L2Bytes <= 0:
 		return fmt.Errorf("config: non-positive cache sizes L1=%d L2=%d", c.L1Bytes, c.L2Bytes)
+	case c.L1Ways <= 0 || c.L1Ways > cache.MaxWays || c.L2Ways <= 0 || c.L2Ways > cache.MaxWays:
+		return fmt.Errorf("config: L1Ways=%d L2Ways=%d outside 1..%d", c.L1Ways, c.L2Ways, cache.MaxWays)
 	case c.TagCacheKB < 0:
 		return fmt.Errorf("config: negative tag cache size %d", c.TagCacheKB)
 	case c.TagCacheKB > 0 && c.Org != dcache.SetAssoc:

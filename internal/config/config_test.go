@@ -71,6 +71,15 @@ func TestValidationErrors(t *testing.T) {
 		"128 banks":          func(c *Config) { c.Banks = 128 },
 		"4 ranks x 32 banks": func(c *Config) { c.Ranks, c.Banks = 4, 32 },
 		"zero L2":            func(c *Config) { c.L2Bytes = 0 },
+		"zero width":         func(c *Config) { c.CPU.Width = 0 },
+		"zero frequency":     func(c *Config) { c.CPU.FreqGHz = 0 },
+		"zero MSHRs":         func(c *Config) { c.CPU.MSHRs = 0 },
+		"zero ROB":           func(c *Config) { c.CPU.ROB = 0 },
+		"zero burst":         func(c *Config) { c.Timing.TBurst = 0 },
+		"negative tWTR":      func(c *Config) { c.Timing.TWTR = -1 },
+		"negative warm-up":   func(c *Config) { c.WarmMemops = -5 },
+		"512 L1 ways":        func(c *Config) { c.L1Ways = 512 },
+		"512 L2 ways":        func(c *Config) { c.L2Ways = 512 },
 	}
 	for name, mutate := range cases {
 		c := base

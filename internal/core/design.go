@@ -27,12 +27,11 @@
 //     no PR is pending and the LR's bank shows no row conflict or has a
 //     re-reference prediction counter (RRPC) below the flushing factor.
 //
-// Both axes are open registries rather than closed enums: designs carry
-// their classification hooks in a DesignSpec (RegisterDesign), and the
-// scheduling algorithm within a priority class is resolved by name
-// against the policy registry in dcasim/internal/sched (RegisterPolicy).
-// The paper's grid — CD/ROD/DCA × BLISS/FR-FCFS/FCFS — is registered
-// here and in sched's init; additional policies (e.g.
+// The three designs are a fixed table of DesignSpecs carrying their
+// classification hooks. The scheduling algorithm within a priority class
+// is resolved by name against the policy registry in
+// dcasim/internal/sched (RegisterPolicy): the paper's BLISS, FR-FCFS and
+// FCFS are registered in sched's init, and additional policies (e.g.
 // dcasim/internal/sched/atlas) register themselves when imported.
 package core
 
@@ -45,13 +44,11 @@ import (
 	"dcasim/internal/sched"
 )
 
-// Design selects a controller organisation. Values are indices into the
-// design registry: the paper's three designs are the CD/ROD/DCA
-// constants, and RegisterDesign mints new values at init time, so a
-// switch over Design is never exhaustive — always handle the default.
+// Design selects a controller organisation: one of the paper's three
+// designs, each an index into the designs table.
 type Design int
 
-// The paper's controller designs, registered at init.
+// The paper's controller designs.
 const (
 	CD Design = iota
 	ROD
@@ -59,15 +56,12 @@ const (
 )
 
 // DesignSpec carries a design's identity and the classification hooks
-// the controller consults, so a new design is data plus two decisions
-// rather than edits to the controller's switch statements.
+// the controller consults, so the controller has no per-design switch
+// statements.
 type DesignSpec struct {
-	// Name is the canonical spelling (the Config.Design JSON value);
-	// Aliases are accepted on parse. Matching is case-insensitive.
-	Name    string
-	Aliases []string
-	// Doc is a one-line description for listings.
-	Doc string
+	// Name is the canonical spelling (the Config.Design JSON value),
+	// matched case-insensitively on parse.
+	Name string
 
 	// RouteToWrite decides whether an access of the given DRAM kind,
 	// belonging to a request of the given type, enters the write queue
@@ -86,41 +80,25 @@ type DesignSpec struct {
 	WriteQueueCap int
 }
 
-// designs is the registry, indexed by Design value, in registration
-// order. It is populated by init functions; the simulator never mutates
-// it after startup.
-var designs []DesignSpec
-
-func init() {
-	for _, reg := range []struct {
-		want Design
-		spec DesignSpec
-	}{
-		{CD, DesignSpec{
-			Name:         "CD",
-			Doc:          "conventional design: queue by access type",
-			RouteToWrite: routeByAccessType,
-		}},
-		{ROD, DesignSpec{
-			Name:         "ROD",
-			Doc:          "request-oriented design: queue by request type",
-			RouteToWrite: routeByRequestType,
-			// Table II: ROD narrows the read queue and widens the write
-			// queue because whole requests land on one side.
-			ReadQueueCap:  32,
-			WriteQueueCap: 96,
-		}},
-		{DCA, DesignSpec{
-			Name:         "DCA",
-			Doc:          "DRAM-cache-aware: CD mapping + two-level PR/LR read scheduling",
-			RouteToWrite: routeByAccessType,
-			TwoLevel:     true,
-		}},
-	} {
-		if got := MustRegisterDesign(reg.spec); got != reg.want {
-			panic(fmt.Sprintf("core: design %s registered as %d, want %d", reg.spec.Name, int(got), int(reg.want)))
-		}
-	}
+// designs is the table of the paper's designs, indexed by Design value.
+var designs = [...]DesignSpec{
+	CD: {
+		Name:         "CD",
+		RouteToWrite: routeByAccessType,
+	},
+	ROD: {
+		Name:         "ROD",
+		RouteToWrite: routeByRequestType,
+		// Table II: ROD narrows the read queue and widens the write
+		// queue because whole requests land on one side.
+		ReadQueueCap:  32,
+		WriteQueueCap: 96,
+	},
+	DCA: {
+		Name:         "DCA",
+		RouteToWrite: routeByAccessType,
+		TwoLevel:     true,
+	},
 }
 
 // routeByAccessType is the CD/DCA queue mapping: writes to the write
@@ -143,51 +121,14 @@ func routeByRequestType(kind dram.Kind, req RequestType) bool {
 	}
 }
 
-// RegisterDesign adds a controller design to the registry and returns
-// its Design value. Names and aliases must be unused
-// (case-insensitively) and RouteToWrite must be non-nil. Registration
-// normally happens in package init functions.
-func RegisterDesign(spec DesignSpec) (Design, error) {
-	if spec.Name == "" {
-		return 0, fmt.Errorf("core: RegisterDesign: empty design name")
-	}
-	if spec.RouteToWrite == nil {
-		return 0, fmt.Errorf("core: RegisterDesign %q: nil RouteToWrite", spec.Name)
-	}
-	for _, k := range append([]string{spec.Name}, spec.Aliases...) {
-		if prev, err := ParseDesign(k); err == nil {
-			return 0, fmt.Errorf("core: design name %q already registered (by %q)", k, designs[prev].Name)
-		}
-	}
-	designs = append(designs, spec)
-	return Design(len(designs) - 1), nil
-}
+// Designs returns the paper's designs in table order: CD, ROD, DCA.
+func Designs() []Design { return []Design{CD, ROD, DCA} }
 
-// MustRegisterDesign is RegisterDesign that panics on error, for package
-// init use.
-func MustRegisterDesign(spec DesignSpec) Design {
-	d, err := RegisterDesign(spec)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
-// Designs returns every registered design in registration order (the
-// paper's CD, ROD, DCA first).
-func Designs() []Design {
-	out := make([]Design, len(designs))
-	for i := range designs {
-		out[i] = Design(i)
-	}
-	return out
-}
-
-// Spec returns the design's registration, or an error for a value
-// outside the registry.
+// Spec returns the design's table entry, or an error for a value outside
+// the table.
 func (d Design) Spec() (DesignSpec, error) {
 	if d < 0 || int(d) >= len(designs) {
-		return DesignSpec{}, fmt.Errorf("core: unknown design %d (registered: %s)", int(d), designNames())
+		return DesignSpec{}, fmt.Errorf("core: unknown design %d (known: %s)", int(d), designNames())
 	}
 	return designs[d], nil
 }
@@ -200,7 +141,7 @@ func designNames() string {
 	return strings.Join(names, ", ")
 }
 
-// String implements fmt.Stringer via the registry.
+// String implements fmt.Stringer via the designs table.
 func (d Design) String() string {
 	if spec, err := d.Spec(); err == nil {
 		return spec.Name
@@ -208,20 +149,14 @@ func (d Design) String() string {
 	return fmt.Sprintf("Design(%d)", int(d))
 }
 
-// ParseDesign resolves a design name or alias (case-insensitively)
-// against the registry.
+// ParseDesign resolves a design name (case-insensitively).
 func ParseDesign(s string) (Design, error) {
 	for i := range designs {
 		if strings.EqualFold(s, designs[i].Name) {
 			return Design(i), nil
 		}
-		for _, a := range designs[i].Aliases {
-			if strings.EqualFold(s, a) {
-				return Design(i), nil
-			}
-		}
 	}
-	return CD, fmt.Errorf("core: unknown design %q (registered: %s)", s, designNames())
+	return CD, fmt.Errorf("core: unknown design %q (known: %s)", s, designNames())
 }
 
 // MarshalJSON encodes the design as its canonical name so serialized
@@ -345,11 +280,11 @@ func (a Algorithm) MarshalJSON() ([]byte, error) {
 	return quoteName(string(c)), nil
 }
 
-// quoteName JSON-quotes an enum name in a single allocation. Registered
-// design and policy names are plain identifiers (letters, digits, '-',
-// '_'), so no JSON escaping can apply; config hashing marshals these
-// enums on every memoized run, making this a measured hot path (the
-// bench gate pins its allocation count).
+// quoteName JSON-quotes an enum name in a single allocation. Design
+// names and registered policy names are plain identifiers (letters,
+// digits, '-', '_'), so no JSON escaping can apply; config hashing
+// marshals these enums on every memoized run, making this a measured
+// hot path (the bench gate pins its allocation count).
 func quoteName(s string) []byte {
 	b := make([]byte, 0, len(s)+2)
 	b = append(b, '"')
@@ -445,8 +380,8 @@ func (c Config) Policy() (*sched.Registration, sched.Params, error) {
 }
 
 // Validate reports a descriptive error for unusable parameters,
-// including a design or algorithm missing from the registries and
-// AlgParams rejected by the policy's ParamSpecs.
+// including a design outside the table, an algorithm missing from the
+// policy registry, and AlgParams rejected by the policy's ParamSpecs.
 func (c Config) Validate() error {
 	switch {
 	case c.ReadQueueCap <= 0 || c.WriteQueueCap <= 0:

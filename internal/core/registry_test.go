@@ -1,9 +1,10 @@
 package core
 
-// Error-path coverage for the design and policy registries, and for how
-// registry failures surface through Config.Validate — a config naming an
-// unknown policy or passing a bad parameter must be rejected with a
-// descriptive error, not simulated under a silently-substituted default.
+// Error-path coverage for the policy registry and the designs table, and
+// for how their failures surface through Config.Validate — a config
+// naming an unknown design or policy or passing a bad parameter must be
+// rejected with a descriptive error, not simulated under a
+// silently-substituted default.
 
 import (
 	"strings"
@@ -31,18 +32,6 @@ func TestRegisterPolicyRejectsDuplicates(t *testing.T) {
 	}
 	if _, err := RegisterPolicy(sched.Registration{Policy: dupPolicy{name: ""}}); err == nil {
 		t.Error("empty policy name accepted")
-	}
-}
-
-func TestRegisterDesignRejectsBadSpecs(t *testing.T) {
-	if _, err := RegisterDesign(DesignSpec{Name: "", RouteToWrite: routeByAccessType}); err == nil {
-		t.Error("empty design name accepted")
-	}
-	if _, err := RegisterDesign(DesignSpec{Name: "x"}); err == nil {
-		t.Error("nil RouteToWrite accepted")
-	}
-	if _, err := RegisterDesign(DesignSpec{Name: "dca", RouteToWrite: routeByAccessType}); err == nil || !strings.Contains(err.Error(), "already registered") {
-		t.Errorf("duplicate of built-in DCA accepted: %v", err)
 	}
 }
 

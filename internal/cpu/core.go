@@ -11,6 +11,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"dcasim/internal/cache"
 	"dcasim/internal/event"
 	"dcasim/internal/simtime"
@@ -29,6 +31,25 @@ type Params struct {
 // 16 MSHRs (gem5's default L1 MSHR provisioning is of this order).
 func DefaultParams() Params {
 	return Params{FreqGHz: 4, Width: 8, ROB: 192, MSHRs: 16}
+}
+
+// Validate rejects parameters the core model cannot run: a clock, width,
+// ROB or MSHR count that is not positive, or a clock and width whose
+// dispatch slot rounds to no time at all.
+func (p Params) Validate() error {
+	switch {
+	case !(p.FreqGHz > 0):
+		return fmt.Errorf("cpu: non-positive clock frequency %v GHz", p.FreqGHz)
+	case p.Width <= 0:
+		return fmt.Errorf("cpu: non-positive dispatch width %d", p.Width)
+	case p.ROB <= 0:
+		return fmt.Errorf("cpu: non-positive ROB size %d", p.ROB)
+	case p.MSHRs <= 0:
+		return fmt.Errorf("cpu: non-positive MSHR count %d", p.MSHRs)
+	case simtime.FromNS(1/p.FreqGHz)/simtime.Time(p.Width) <= 0:
+		return fmt.Errorf("cpu: %v GHz at width %d leaves no time per dispatch slot", p.FreqGHz, p.Width)
+	}
+	return nil
 }
 
 type inflight struct {

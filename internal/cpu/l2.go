@@ -63,7 +63,7 @@ func (l *L2) getWaiters() []event.Callback {
 // available to the core.
 func (l *L2) Read(addr int64, coreID int, pc uint64, done event.Callback) {
 	l.Reads++
-	if l.arr.Touch(addr) { // hit: LRU refreshed in the same scan
+	if _, way := l.arr.Touch(addr); way >= 0 { // hit: LRU refreshed in the same scan
 		l.eng.CallAfter(l.hitLat, done)
 		return
 	}
@@ -123,16 +123,15 @@ func (l *L2) writeback(addr int64, coreID int) {
 	l.dc.Writeback(addr, coreID)
 }
 
-// leeDrain implements the Lee policy: probe the victim's DRAM-row-mates
-// and eagerly write back the dirty ones, leaving them resident clean.
+// leeDrain implements the Lee policy: clean the victim's DRAM-row-mates
+// and eagerly write back the ones that were dirty, leaving them resident.
 func (l *L2) leeDrain(victim int64, coreID int) {
 	lo, hi := l.dc.RowSpan(victim)
 	for a := lo; a < hi; a++ {
 		if a == victim {
 			continue
 		}
-		if present, dirty := l.arr.Probe(a); present && dirty {
-			l.arr.Clean(a)
+		if l.arr.Clean(a) {
 			l.LeeEager++
 			l.writeback(a, coreID)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dcasim/internal/addrmap"
+	"dcasim/internal/cache"
 	"dcasim/internal/core"
 	"dcasim/internal/dram"
 	"dcasim/internal/event"
@@ -72,7 +73,10 @@ type DCache struct {
 	eng    *event.Engine
 	geom   Geometry
 	mapper addrmap.Mapper
-	tags   *tagStore
+	// tags is the functional (zero-time) tag state: which blocks are
+	// present, their dirtiness, and LRU order. Timing is charged by the
+	// access chains; the state advances when their tag accesses complete.
+	tags   *cache.Cache
 	chans  []*dram.Channel
 	ctrls  []*core.Controller
 	mem    *mainmem.Memory
@@ -102,11 +106,15 @@ func New(eng *event.Engine, cfg Config, mem *mainmem.Memory) (*DCache, error) {
 	if cfg.Cores <= 0 {
 		return nil, fmt.Errorf("dcache: non-positive core count %d", cfg.Cores)
 	}
+	tags, err := cache.New(geom.DataCapacity(), BlockBytes, geom.Ways)
+	if err != nil {
+		return nil, err
+	}
 	d := &DCache{
 		eng:    eng,
 		geom:   geom,
 		mapper: addrmap.Mapper{Geom: cfg.DRAM, XORRemap: cfg.XORRemap},
-		tags:   newTagStore(geom),
+		tags:   tags,
 		mem:    mem,
 	}
 	for i := 0; i < cfg.DRAM.Channels; i++ {
@@ -121,7 +129,9 @@ func New(eng *event.Engine, cfg Config, mem *mainmem.Memory) (*DCache, error) {
 		if cfg.Org != SetAssoc {
 			return nil, fmt.Errorf("dcache: tag cache study applies to the set-associative organization")
 		}
-		d.tcache = tagcache.New(*cfg.TagCache)
+		if d.tcache, err = tagcache.New(*cfg.TagCache); err != nil {
+			return nil, err
+		}
 	}
 	d.bear = cfg.BEARProbe
 	return d, nil
@@ -309,12 +319,11 @@ func (r *readReq) startFetch() {
 
 func (r *readReq) afterTag(now simtime.Time) {
 	d := r.d
-	set, way := d.tags.lookup(r.addr)
+	set, way := d.tags.Touch(r.addr)
 	r.tagDone = true
 	if way >= 0 {
 		r.hit = true
 		d.stats.ReadHits++
-		d.tags.touch(set, way)
 		if d.mapi != nil {
 			d.mapi.Update(r.coreID, r.pc, r.predictedMiss, true)
 			if r.predictedMiss {
@@ -411,7 +420,7 @@ func (d *DCache) write(addr int64, coreID int, reqType core.RequestType) {
 
 	// BEAR writeback probe: a hit needs no tag read before the writes.
 	if d.bear && reqType == core.WritebackReq {
-		if _, way := d.tags.lookup(addr); way >= 0 {
+		if present, _ := d.tags.Probe(addr); present {
 			d.stats.BEARElided++
 			d.afterWriteTag(addr, coreID, reqType, d.eng.Now())
 			return
@@ -437,40 +446,33 @@ func (d *DCache) write(addr int64, coreID int, reqType core.RequestType) {
 }
 
 func (d *DCache) afterWriteTag(addr int64, coreID int, reqType core.RequestType, now simtime.Time) {
-	set, way := d.tags.lookup(addr)
-	if way >= 0 {
-		if reqType == core.WritebackReq {
-			d.stats.WritebackHits++
-			d.tags.setDirty(set, way)
-		}
-		d.tags.touch(set, way)
-		d.issueDataWrite(set, way, coreID, reqType)
-		return
-	}
-
+	// A writeback hit dirties its block; a miss installs the block
+	// (dirty for a writeback, clean for a refill) over the victim.
+	res := d.tags.Access(addr, reqType == core.WritebackReq)
+	set, way := res.Set, res.Way
 	if reqType == core.WritebackReq {
-		d.stats.WritebackMiss++
+		if res.Hit {
+			d.stats.WritebackHits++
+		} else {
+			d.stats.WritebackMiss++
+		}
 	}
-	vw := d.tags.victim(set)
-	_, valid, dirty := d.tags.victimInfo(set, vw)
-	writeVictim := valid && dirty
-	d.tags.install(addr, set, vw, reqType == core.WritebackReq)
-	if writeVictim {
+	if res.VictimValid && res.VictimDirty {
 		d.stats.VictimWrites++
 		if d.geom.Org == SetAssoc {
 			// Read the victim's data out of the array before
 			// overwriting it (Fig. 2's RDw); completion continues in
 			// OnEvent's dcVictimReadDone arm.
-			d.enqueue(dram.ReadData, d.geom.DataLoc(set, vw, d.mapper), BlockBytes, coreID, reqType,
+			d.enqueue(dram.ReadData, d.geom.DataLoc(set, way, d.mapper), BlockBytes, coreID, reqType,
 				event.Callback{H: d, P: event.Payload{
-					I64: set, U64: packWriteCtx(dcVictimReadDone, coreID, vw, reqType),
+					I64: set, U64: packWriteCtx(dcVictimReadDone, coreID, way, reqType),
 				}})
 			return
 		}
 		// Direct-mapped: the probe already carried the victim TAD.
 		d.mem.Write()
 	}
-	d.issueDataWrite(set, vw, coreID, reqType)
+	d.issueDataWrite(set, way, coreID, reqType)
 }
 
 // issueDataWrite emits the write half of a writeback/refill: WD+WT for
@@ -488,42 +490,30 @@ func (d *DCache) issueDataWrite(set int64, way, coreID int, reqType core.Request
 // warm-up: misses install the block clean, as a refill would, and the
 // MAP-I predictor trains on the outcome.
 func (d *DCache) WarmRead(addr int64, coreID int, pc uint64) {
-	set, way, vw := d.tags.lookupOrVictim(addr)
-	hit := way >= 0
+	hit := d.tags.Access(addr, false).Hit
 	if d.mapi != nil {
 		p := d.mapi.PredictMiss(coreID, pc)
 		d.mapi.Update(coreID, pc, p, hit)
 	}
-	if hit {
-		d.tags.touch(set, way)
-		return
-	}
-	d.tags.install(addr, set, vw, false)
 }
 
 // WarmWrite performs a functional writeback: hits become dirty, misses
 // allocate dirty.
 func (d *DCache) WarmWrite(addr int64, coreID int) {
-	set, way, vw := d.tags.lookupOrVictim(addr)
-	if way >= 0 {
-		d.tags.setDirty(set, way)
-		d.tags.touch(set, way)
-		return
-	}
-	d.tags.install(addr, set, vw, true)
+	d.tags.Access(addr, true)
 }
 
 // WarmState is the functional state warm-up leaves in a DRAM cache:
-// the tag store, in its compact form, and the MAP-I predictor.
+// the tag array, in its compact form, and the MAP-I predictor.
 type WarmState struct {
-	tags tagState
+	tags cache.State
 	mapi *mempred.MAPI
 }
 
 // MoveWarmState detaches the cache's warm state without copying the tag
 // words. The cache must not be used afterwards.
 func (d *DCache) MoveWarmState() WarmState {
-	s := WarmState{tags: d.tags.moveState(), mapi: d.mapi}
+	s := WarmState{tags: d.tags.MoveState(), mapi: d.mapi}
 	d.mapi = nil
 	return s
 }
@@ -541,7 +531,7 @@ func (d *DCache) CopyWarmState(s WarmState) error {
 			return err
 		}
 	}
-	return d.tags.copyState(s.tags)
+	return d.tags.CopyState(s.tags)
 }
 
 // RowSpan returns the contiguous block-address window whose members map

@@ -266,12 +266,10 @@ func TestWarmAccessors(t *testing.T) {
 	_, dc, _ := rig(t, SetAssoc, nil)
 	dc.WarmRead(5, 0, 1)
 	dc.WarmWrite(6, 0)
-	set, way := dc.tags.lookup(5)
-	if way < 0 || dc.tags.dirty(set, way) {
+	if p, dirty := dc.tags.Probe(5); !p || dirty {
 		t.Fatal("WarmRead should install clean")
 	}
-	set, way = dc.tags.lookup(6)
-	if way < 0 || !dc.tags.dirty(set, way) {
+	if p, dirty := dc.tags.Probe(6); !p || !dirty {
 		t.Fatal("WarmWrite should install dirty")
 	}
 }

@@ -12,7 +12,6 @@ package dcache
 import (
 	"encoding/json"
 	"fmt"
-	"math/bits"
 
 	"dcasim/internal/addrmap"
 )
@@ -96,12 +95,6 @@ type Geometry struct {
 	Sets      int64 // cache sets (DM: one block per set)
 	Ways      int
 	DRAM      addrmap.Geometry
-
-	// Power-of-two set counts (the set-associative organization always;
-	// direct-mapped never, 56 TADs per row) split addresses with a mask
-	// and shift instead of the div/mod pair on the warm-up fast path.
-	setsPow2 bool
-	setShift uint
 }
 
 // NewGeometry derives a geometry from the stacked-DRAM shape. The DRAM
@@ -129,10 +122,6 @@ func NewGeometry(org Org, sizeBytes int64, dram addrmap.Geometry) (Geometry, err
 	default:
 		return Geometry{}, fmt.Errorf("dcache: unknown org %d", int(org))
 	}
-	if g.Sets&(g.Sets-1) == 0 {
-		g.setsPow2 = true
-		g.setShift = uint(bits.TrailingZeros64(uint64(g.Sets)))
-	}
 	return g, nil
 }
 
@@ -140,23 +129,13 @@ func NewGeometry(org Org, sizeBytes int64, dram addrmap.Geometry) (Geometry, err
 // 256 MB set-associative instance).
 func (g Geometry) DataCapacity() int64 { return g.Sets * int64(g.Ways) * BlockBytes }
 
-// SetOf maps a physical block address (block number) to its set.
+// SetOf maps a physical block address (block number) to its set; the
+// tag array (a cache.Cache of Sets x Ways) maps blocks the same way.
 func (g *Geometry) SetOf(blockAddr int64) int64 {
 	if blockAddr < 0 {
 		panic(fmt.Sprintf("dcache: negative block address %d", blockAddr))
 	}
-	if g.setsPow2 {
-		return blockAddr & (g.Sets - 1)
-	}
 	return blockAddr % g.Sets
-}
-
-// TagOf returns the tag stored for blockAddr.
-func (g *Geometry) TagOf(blockAddr int64) int64 {
-	if g.setsPow2 {
-		return blockAddr >> g.setShift
-	}
-	return blockAddr / g.Sets
 }
 
 // rowOf returns the DRAM row (linear row index) holding a set.

@@ -57,9 +57,6 @@ func TestSetMapping(t *testing.T) {
 	if g.SetOf(0) != 0 || g.SetOf(g.Sets) != 0 || g.SetOf(g.Sets+5) != 5 {
 		t.Fatal("SetOf is not addr mod sets")
 	}
-	if g.TagOf(g.Sets+5) != 1 {
-		t.Fatal("TagOf is not addr div sets")
-	}
 }
 
 func TestTagAndDataLocations(t *testing.T) {

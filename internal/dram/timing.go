@@ -12,7 +12,11 @@
 // justification of this simplification.
 package dram
 
-import "dcasim/internal/simtime"
+import (
+	"fmt"
+
+	"dcasim/internal/simtime"
+)
 
 // Timing collects the stacked-DRAM timing parameters of the paper's
 // Table II.
@@ -43,6 +47,23 @@ func StackedDRAM() Timing {
 		TWR:    simtime.FromNS(15),
 		TBurst: simtime.FromNS(3.33),
 	}
+}
+
+// Validate rejects timings the channel model cannot honour: a negative
+// constraint, or a burst that takes no time on the data bus.
+func (t Timing) Validate() error {
+	if t.TBurst <= 0 {
+		return fmt.Errorf("dram: non-positive burst time TBurst=%v", t.TBurst)
+	}
+	for _, f := range []struct {
+		name string
+		v    simtime.Time
+	}{{"TRCD", t.TRCD}, {"TCAS", t.TCAS}, {"TRP", t.TRP}, {"TRAS", t.TRAS}, {"TWTR", t.TWTR}, {"TRTP", t.TRTP}, {"TRTW", t.TRTW}, {"TWR", t.TWR}} {
+		if f.v < 0 {
+			return fmt.Errorf("dram: negative timing %s=%v", f.name, f.v)
+		}
+	}
+	return nil
 }
 
 // BurstTime returns the data-bus occupancy of a transfer of the given

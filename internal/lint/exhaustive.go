@@ -9,16 +9,16 @@ import (
 	"strings"
 )
 
-// Exhaustive requires switches over the repo's closed enums (dcache.Org,
-// dram.Kind, core.RequestType, ...) to either cover every declared
-// constant or carry a default clause that surfaces the unknown value
-// (panic or an error mentioning it). Registry-backed enums — types like
-// core.Design and core.Algorithm whose defining package exports a
+// Exhaustive requires switches over the repo's closed enums (core.Design,
+// dcache.Org, dram.Kind, core.RequestType, ...) to either cover every
+// declared constant or carry a default clause that surfaces the unknown
+// value (panic or an error mentioning it). Registry-backed enums — types
+// like core.Algorithm whose defining package exports a
 // Register*/MustRegister* function minting new values — are open sets:
 // there, covering today's constants proves nothing, and every switch
 // must carry a loud default. This is the safety net the plugin-policy
-// architecture leans on: registering a fourth design must fail loudly at
-// every switch that silently assumed three.
+// architecture leans on: registering a new policy must fail loudly at
+// every switch that silently assumed the built-in ones.
 var Exhaustive = &Analyzer{
 	Name: "exhaustive",
 	Doc: `require enum switches to cover every constant or fail loudly
@@ -32,9 +32,9 @@ added" into a wrong simulation result instead of a crash or error.
 
 An open registry enum is a defined integer or string type whose
 defining package exports a Register*/MustRegister* function returning
-it: the value set grows at link time (core.RegisterDesign,
-core.RegisterPolicy), so case coverage can never be exhaustive and
-every switch over such a type must carry a panic/error default.`,
+it: the value set grows at link time (core.RegisterPolicy), so case
+coverage can never be exhaustive and every switch over such a type must
+carry a panic/error default.`,
 	Run: runExhaustive,
 }
 

@@ -404,8 +404,8 @@ func WarmKeyOf(cfg config.Config) (string, bool) {
 	return hex.EncodeToString(sum[:]), true
 }
 
-// WarmState is the functional state one warm-up leaves behind: the L1
-// and L2 arrays with their LRU clocks, the DRAM-cache tags and MAP-I
+// WarmState is the functional state one warm-up leaves behind: the L1,
+// L2 and DRAM-cache tag arrays (each a compact cache.State), the MAP-I
 // tables, and each core's generator with its RNG position. It is never
 // modified after Warmup returns, so any number of RunFrom calls may
 // copy it concurrently.

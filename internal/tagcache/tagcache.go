@@ -10,6 +10,12 @@
 // the tag cache is smaller than the tag footprint of the L2 working set).
 package tagcache
 
+import (
+	"fmt"
+
+	"dcasim/internal/cache"
+)
+
 // Config sizes the tag cache.
 type Config struct {
 	SizeBytes  int // total capacity
@@ -27,13 +33,13 @@ func DefaultConfig(sizeBytes int) Config {
 	return Config{SizeBytes: sizeBytes, BlockBytes: 64, Ways: 8, PrefetchSiblings: 3}
 }
 
-// TagCache is a set-associative SRAM cache over tag-block indices.
+// TagCache is a set-associative SRAM cache over tag-block indices: its
+// own state is the prefetch rule and the counters; which tag blocks are
+// resident, and in what LRU order, lives in a cache.Cache whose blocks
+// are tag blocks.
 type TagCache struct {
-	cfg  Config
-	sets int
-	tags [][]int64 // tag-block index per way; -1 invalid
-	lru  [][]uint32
-	tick uint32
+	cfg Config
+	arr *cache.Cache
 
 	Lookups    int64
 	Hits       int64
@@ -41,41 +47,32 @@ type TagCache struct {
 	Prefetches int64
 }
 
-// New builds the tag cache; size must hold at least one set.
-func New(cfg Config) *TagCache {
-	blocks := cfg.SizeBytes / cfg.BlockBytes
-	sets := blocks / cfg.Ways
-	if sets < 1 {
-		sets = 1
+// New builds the tag cache. Capacity rounds down to whole sets, and to
+// at least one.
+func New(cfg Config) (*TagCache, error) {
+	if cfg.BlockBytes <= 0 || cfg.Ways <= 0 {
+		return nil, fmt.Errorf("tagcache: non-positive block size %d or ways %d", cfg.BlockBytes, cfg.Ways)
 	}
-	t := &TagCache{cfg: cfg, sets: sets}
-	t.tags = make([][]int64, sets)
-	t.lru = make([][]uint32, sets)
-	for i := 0; i < sets; i++ {
-		t.tags[i] = make([]int64, cfg.Ways)
-		t.lru[i] = make([]uint32, cfg.Ways)
-		for w := range t.tags[i] {
-			t.tags[i][w] = -1
-		}
+	sets := max(cfg.SizeBytes/cfg.BlockBytes/cfg.Ways, 1)
+	arr, err := cache.New(int64(sets*cfg.Ways*cfg.BlockBytes), cfg.BlockBytes, cfg.Ways)
+	if err != nil {
+		return nil, err
 	}
-	return t
+	return &TagCache{cfg: cfg, arr: arr}, nil
 }
-
-func (t *TagCache) set(blockIdx int64) int { return int(blockIdx % int64(t.sets)) }
 
 // Lookup probes the tag cache for a tag block and returns whether it hit.
 // On a miss the block is installed together with its row siblings
-// (spatial prefetch) and the number of DRAM tag-block fetches performed
-// (1 + prefetches) is returned; on a hit zero fetches are needed.
+// (spatial prefetch; a sibling already resident is refreshed instead)
+// and the number of DRAM tag-block fetches performed (1 + prefetches) is
+// returned; on a hit zero fetches are needed.
 func (t *TagCache) Lookup(blockIdx int64, rowSiblings []int64) (hit bool, dramFetches int) {
 	t.Lookups++
-	t.tick++
-	if t.probe(blockIdx) {
+	if t.arr.Access(blockIdx, false).Hit {
 		t.Hits++
 		return true, 0
 	}
 	t.Misses++
-	t.install(blockIdx)
 	fetches := 1
 	for _, s := range rowSiblings {
 		if s == blockIdx {
@@ -84,40 +81,12 @@ func (t *TagCache) Lookup(blockIdx int64, rowSiblings []int64) (hit bool, dramFe
 		if fetches > t.cfg.PrefetchSiblings {
 			break
 		}
-		if !t.probe(s) {
-			t.install(s)
+		if !t.arr.Access(s, false).Hit {
 			t.Prefetches++
 			fetches++
 		}
 	}
 	return false, fetches
-}
-
-func (t *TagCache) probe(blockIdx int64) bool {
-	s := t.set(blockIdx)
-	for w, tag := range t.tags[s] {
-		if tag == blockIdx {
-			t.lru[s][w] = t.tick
-			return true
-		}
-	}
-	return false
-}
-
-func (t *TagCache) install(blockIdx int64) {
-	s := t.set(blockIdx)
-	victim, oldest := 0, t.lru[s][0]
-	for w, tag := range t.tags[s] {
-		if tag == -1 {
-			victim = w
-			break
-		}
-		if t.lru[s][w] < oldest {
-			victim, oldest = w, t.lru[s][w]
-		}
-	}
-	t.tags[s][victim] = blockIdx
-	t.lru[s][victim] = t.tick
 }
 
 // ResetStats clears the counters after warm-up.

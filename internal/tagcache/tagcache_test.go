@@ -2,13 +2,22 @@ package tagcache
 
 import "testing"
 
-func small() *TagCache {
+func mustNew(t *testing.T, cfg Config) *TagCache {
+	t.Helper()
+	tc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tc
+}
+
+func small(t *testing.T) *TagCache {
 	// 8 blocks total, 2 ways -> 4 sets.
-	return New(Config{SizeBytes: 512, BlockBytes: 64, Ways: 2, PrefetchSiblings: 3})
+	return mustNew(t, Config{SizeBytes: 512, BlockBytes: 64, Ways: 2, PrefetchSiblings: 3})
 }
 
 func TestMissThenHit(t *testing.T) {
-	tc := small()
+	tc := small(t)
 	hit, fetches := tc.Lookup(100, nil)
 	if hit || fetches != 1 {
 		t.Fatalf("first lookup: hit=%v fetches=%d, want miss with 1 fetch", hit, fetches)
@@ -23,7 +32,7 @@ func TestMissThenHit(t *testing.T) {
 }
 
 func TestSpatialPrefetch(t *testing.T) {
-	tc := small()
+	tc := small(t)
 	siblings := []int64{100, 101, 102, 103}
 	_, fetches := tc.Lookup(100, siblings)
 	if fetches != 4 {
@@ -41,7 +50,7 @@ func TestSpatialPrefetch(t *testing.T) {
 }
 
 func TestPrefetchLimit(t *testing.T) {
-	tc := New(Config{SizeBytes: 512, BlockBytes: 64, Ways: 2, PrefetchSiblings: 1})
+	tc := mustNew(t, Config{SizeBytes: 512, BlockBytes: 64, Ways: 2, PrefetchSiblings: 1})
 	_, fetches := tc.Lookup(100, []int64{100, 101, 102, 103})
 	if fetches != 2 {
 		t.Fatalf("prefetch limit 1 fetched %d blocks, want 2", fetches)
@@ -49,7 +58,7 @@ func TestPrefetchLimit(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	tc := small() // 4 sets, 2 ways; blocks with the same idx%4 share a set
+	tc := small(t) // 4 sets, 2 ways; blocks with the same idx%4 share a set
 	tc.Lookup(0, nil)
 	tc.Lookup(4, nil)
 	tc.Lookup(0, nil) // refresh 0
@@ -67,14 +76,14 @@ func TestDefaultConfig(t *testing.T) {
 	if cfg.SizeBytes != 192<<10 || cfg.BlockBytes != 64 || cfg.PrefetchSiblings != 3 {
 		t.Fatalf("unexpected default config: %+v", cfg)
 	}
-	tc := New(cfg)
-	if tc.sets*cfg.Ways*cfg.BlockBytes != cfg.SizeBytes {
+	tc := mustNew(t, cfg)
+	if tc.arr.Sets()*int64(cfg.Ways*cfg.BlockBytes) != int64(cfg.SizeBytes) {
 		t.Fatalf("geometry does not cover the configured capacity")
 	}
 }
 
 func TestResetStats(t *testing.T) {
-	tc := small()
+	tc := small(t)
 	tc.Lookup(1, nil)
 	tc.Lookup(1, nil)
 	tc.ResetStats()
@@ -84,5 +93,16 @@ func TestResetStats(t *testing.T) {
 	// State survives the reset — only counters clear.
 	if hit, _ := tc.Lookup(1, nil); !hit {
 		t.Fatal("ResetStats dropped cache contents")
+	}
+}
+
+func TestNewRejectsBadGeometry(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 512, BlockBytes: 64, Ways: 0},
+		{SizeBytes: 512, BlockBytes: 0, Ways: 2},
+	} {
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
 	}
 }
