@@ -1,6 +1,10 @@
 package dcache
 
-import "testing"
+import (
+	"testing"
+
+	"dcasim/internal/rng"
+)
 
 // The tag array's replacement logic and warm-state encoding are tested
 // in internal/cache; these tests check the DRAM cache's use of it: the
@@ -67,6 +71,24 @@ func TestDirtyTracking(t *testing.T) {
 	}
 }
 
+// TestVictimInfoInvalid: a fill into an invalid way displaces nothing;
+// only the fill of a full set reports a victim, with its dirtiness.
+func TestVictimInfoInvalid(t *testing.T) {
+	for _, org := range []Org{SetAssoc, DirectMapped} {
+		_, dc, _ := rig(t, org, nil)
+		sets := dc.geom.Sets
+		for w := 0; w < dc.geom.Ways; w++ {
+			if r := dc.tags.Access(5+int64(w)*sets, true); r.Hit || r.VictimValid {
+				t.Fatalf("%v: fill %d of an unfilled set reported %+v", org, w, r)
+			}
+		}
+		r := dc.tags.Access(5+int64(dc.geom.Ways)*sets, false)
+		if !r.VictimValid || !r.VictimDirty || r.VictimAddr != 5 {
+			t.Fatalf("%v: fill of a full set reported %+v, want dirty victim 5", org, r)
+		}
+	}
+}
+
 func TestInstallReplaces(t *testing.T) {
 	_, dc, _ := rig(t, DirectMapped, nil)
 	repl := 9 + dc.geom.Sets
@@ -87,5 +109,66 @@ func TestWarmStateRejectsOtherShapes(t *testing.T) {
 	_, large, _ := rig(t, SetAssoc, func(c *Config) { c.SizeBytes = 2 << 20 })
 	if err := large.CopyWarmState(small.MoveWarmState()); err == nil {
 		t.Fatal("warm state restored into a larger geometry")
+	}
+}
+
+// TestTagStateRestorePicksSameVictims is the differential check of the
+// DRAM cache's warm state: a cache restored from a moved state must see
+// every hit and choose every victim exactly as an untouched twin does,
+// in both organizations, with sets left partly empty, and with tags
+// that narrow to 32 bits (low addresses) and tags that do not (high
+// ones).
+func TestTagStateRestorePicksSameVictims(t *testing.T) {
+	for _, c := range []struct {
+		org  Org
+		base int64
+	}{{SetAssoc, 0}, {DirectMapped, 0}, {SetAssoc, 1 << 50}, {DirectMapped, 1 << 50}} {
+		_, warm, _ := rig(t, c.org, nil)
+		_, twin, _ := rig(t, c.org, nil)
+		capacity := warm.geom.Sets * int64(warm.geom.Ways)
+		r := rng.New(7)
+		stream := func(n int) (addrs []int64, writes []bool) {
+			for i := 0; i < n; i++ {
+				addrs = append(addrs, c.base+r.Int63n(3*capacity))
+				writes = append(writes, r.Bool(0.3))
+			}
+			return addrs, writes
+		}
+		// Fewer accesses than blocks: many sets keep invalid ways.
+		addrs, writes := stream(int(capacity))
+		for i, a := range addrs {
+			for _, dc := range []*DCache{warm, twin} {
+				if writes[i] {
+					dc.WarmWrite(a, 0)
+				} else {
+					dc.WarmRead(a, 0, 1)
+				}
+			}
+		}
+		s := warm.MoveWarmState()
+		restored := make([]*DCache, 2)
+		for k := range restored {
+			_, restored[k], _ = rig(t, c.org, nil)
+			if err := restored[k].CopyWarmState(s); err != nil {
+				t.Fatal(err)
+			}
+		}
+		addrs, writes = stream(4 * int(capacity))
+		for i, a := range addrs {
+			want := twin.tags.Access(a, writes[i])
+			for k, dc := range restored {
+				if got := dc.tags.Access(a, writes[i]); got != want {
+					t.Fatalf("%v base %d: access %d (block %d) on restored cache %d: got %+v, untouched twin %+v", c.org, c.base, i, a, k, got, want)
+				}
+			}
+		}
+		for a := c.base; a < c.base+3*capacity; a++ {
+			wp, wd := twin.tags.Probe(a)
+			for k, dc := range restored {
+				if p, d := dc.tags.Probe(a); p != wp || d != wd {
+					t.Fatalf("%v base %d: block %d on restored cache %d: present=%v dirty=%v, twin %v %v", c.org, c.base, a, k, p, d, wp, wd)
+				}
+			}
+		}
 	}
 }
