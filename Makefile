@@ -21,8 +21,8 @@
 #                     tests, and the exp panic/watchdog/keep-going and
 #                     SIGKILL-recovery tests (CI job)
 #   make fuzz-short - short fuzz pass over the trace decoder, the
-#                     result-cache reader, and the event kernel vs its
-#                     heap oracle (CI job)
+#                     result-cache and warm-snapshot readers, and the
+#                     event kernel vs its heap oracle (CI job)
 #   make sweep-smoke - run the example sweep spec end to end against the
 #                      persistent result cache (CI job)
 #   make docs-check - documentation gate (CI job, cmd/docscheck):
@@ -45,7 +45,9 @@
 #                      speedup record)
 #   make determinism - render the Fig8 smoke table and the scheduler
 #                      comparison at -j 1 and -j 8 under -race and
-#                      require byte-identical output, then require a -keep-going sweep with injected
+#                      require byte-identical output, also when the
+#                      -j 8 scheduler render restores warm-state
+#                      snapshots another process stored, then require a -keep-going sweep with injected
 #                      failures to report them byte-identically at
 #                      every worker count, then require a -seeds 3
 #                      replicated sweep to render byte-identical
@@ -84,6 +86,7 @@ race:
 
 # Fault-model suite under the race detector: the cachefs injector's own
 # tests, the rescache crash/corruption/claim-liveness protocol tests
+# (result entries and warm-state snapshots alike)
 # (including the SIGKILL kill-recovery test in internal/exp), and the
 # exp panic-isolation, watchdog, and keep-going tests. This is the
 # "nothing wedges, nothing lies" gate — see README "Failure model".
@@ -95,7 +98,9 @@ faults:
 # malformed trace must never panic the simulator, an arbitrary cache
 # entry must never be trusted unless its envelope fully verifies
 # (FuzzCacheGet re-checks every accepted entry against an independent
-# oracle), and an arbitrary op program must drive the timing wheel and
+# oracle; FuzzWarmSnapshot requires every accepted warm-state snapshot,
+# envelope and payload, to re-encode to its own bytes), and an arbitrary
+# op program must drive the timing wheel and
 # the retired 4-ary heap to the exact same dispatch sequence
 # (FuzzEngineOps). Seed corpora live in
 # internal/{trace,rescache,event}/testdata/fuzz; CI archives grown
@@ -103,6 +108,7 @@ faults:
 fuzz-short:
 	$(GO) test ./internal/trace -run '^$$' -fuzz 'FuzzDecoder' -fuzztime 30s
 	$(GO) test ./internal/rescache -run '^$$' -fuzz 'FuzzCacheGet' -fuzztime 30s
+	$(GO) test ./internal/rescache -run '^$$' -fuzz 'FuzzWarmSnapshot' -fuzztime 30s
 	$(GO) test ./internal/event -run '^$$' -fuzz 'FuzzEngineOps' -fuzztime 30s
 
 # End-to-end sweep smoke: evaluate the example declarative spec at the
@@ -176,7 +182,12 @@ bench-parallel:
 # The scheduler comparison (-only sched) must too, simulated from
 # scratch (no result cache): its pass has four warm keys, each shared by
 # several runs, so the warm-key grouping, the shared warm-ups and the
-# waits on them all run under -race. The second half asserts the same contract for the failure path: a
+# waits on them all run under -race. It is then rendered into a fresh
+# result cache, its result entries (*.json) are deleted and its warm-
+# state snapshots (*.warm) kept, and a second process re-renders it at
+# -j 8 from those snapshots: the output must match the uncached render
+# byte for byte, and the grep guard requires that the second process
+# really simulated (restored runs, not cache hits). The second half asserts the same contract for the failure path: a
 # -keep-going sweep whose ghost-trace points fail at runtime (see
 # testdata/sweep_keepgoing.json) must report the joined failures
 # byte-identically at every worker count. The grep guard pins the
@@ -197,7 +208,15 @@ determinism:
 	DCASIM_CACHE= $(GO) run -race ./cmd/experiments -scale test -mixes 2 -only sched -j 1 -format text > .det-sched-j1.txt
 	DCASIM_CACHE= $(GO) run -race ./cmd/experiments -scale test -mixes 2 -only sched -j 8 -format text > .det-sched-j8.txt
 	cmp .det-sched-j1.txt .det-sched-j8.txt
-	@rm -f .det-sched-j1.txt .det-sched-j8.txt
+	@rm -rf .det-warm-cache
+	$(GO) run -race ./cmd/experiments -scale test -mixes 2 -only sched -j 1 -format text -cache .det-warm-cache > .det-warm-1.txt
+	rm -f .det-warm-cache/*.json
+	ls .det-warm-cache/*.warm > /dev/null
+	$(GO) run -race ./cmd/experiments -scale test -mixes 2 -only sched -j 8 -format text -cache .det-warm-cache > .det-warm-8.txt 2> .det-warm-8.err
+	cmp .det-sched-j1.txt .det-warm-1.txt
+	cmp .det-warm-1.txt .det-warm-8.txt
+	grep -Eq '; [1-9][0-9]* simulations executed' .det-warm-8.err
+	@rm -rf .det-warm-cache .det-warm-1.txt .det-warm-8.txt .det-warm-8.err .det-sched-j1.txt .det-sched-j8.txt
 	DCASIM_CACHE= $(GO) run -race ./cmd/dcasim sweep -spec testdata/sweep_keepgoing.json -keep-going -j 1 > .det-kg-j1.txt 2>&1 || true
 	DCASIM_CACHE= $(GO) run -race ./cmd/dcasim sweep -spec testdata/sweep_keepgoing.json -keep-going -j 8 > .det-kg-j8.txt 2>&1 || true
 	cmp .det-kg-j1.txt .det-kg-j8.txt
@@ -208,6 +227,6 @@ determinism:
 	cmp .det-seeds-j1.txt .det-seeds-j8.txt
 	grep -q '±' .det-seeds-j1.txt
 	@rm -f .det-seeds-j1.txt .det-seeds-j8.txt
-	@echo "parallel determinism OK: tables (Fig8 and the shared-warm-up sched pass), keep-going failure reports, and -seeds 3 CI tables byte-identical at -j 1 and -j 8"
+	@echo "parallel determinism OK: tables (Fig8, and the shared-warm-up sched pass also restored from stored warm-state snapshots), keep-going failure reports, and -seeds 3 CI tables byte-identical at -j 1 and -j 8"
 
 ci: build lint test

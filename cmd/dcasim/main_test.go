@@ -80,3 +80,17 @@ func TestConfigFileTooManyBanksFailsCleanly(t *testing.T) {
 func TestConfigFileZeroWidthFailsCleanly(t *testing.T) {
 	configFileFailsCleanly(t, func(c *config.Config) { c.CPU.Width = 0 }, "dispatch width")
 }
+
+// TestConfigFileNegativeLatenciesFailCleanly: a negative L2 hit latency
+// or main-memory latency would schedule events in the past; both are
+// config errors, not a panic in the event kernel.
+func TestConfigFileNegativeLatenciesFailCleanly(t *testing.T) {
+	configFileFailsCleanly(t, func(c *config.Config) { c.L2HitLat = -5 }, "L2 hit latency")
+	configFileFailsCleanly(t, func(c *config.Config) { c.MainMem.Latency = -1 }, "mainmem: negative latency")
+}
+
+// TestConfigFilePartialBlockCacheFailsCleanly: an L1 size that is not a
+// whole number of sets fails the run instead of being truncated.
+func TestConfigFilePartialBlockCacheFailsCleanly(t *testing.T) {
+	configFileFailsCleanly(t, func(c *config.Config) { c.L1Bytes = 30000 }, "30000 bytes")
+}

@@ -7,8 +7,12 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
+
+	"dcasim/internal/binenc"
 )
 
 // MaxWays bounds the associativity so a way's LRU rank within its set
@@ -48,17 +52,10 @@ const emptyTag = int64(-1)
 // New builds a cache of the given total size. sizeBytes must be a
 // multiple of blockBytes*ways, and ways at most MaxWays.
 func New(sizeBytes int64, blockBytes, ways int) (*Cache, error) {
-	if sizeBytes <= 0 || blockBytes <= 0 || ways <= 0 {
-		return nil, fmt.Errorf("cache: non-positive parameter size=%d block=%d ways=%d", sizeBytes, blockBytes, ways)
+	sets, err := Shape(sizeBytes, blockBytes, ways)
+	if err != nil {
+		return nil, err
 	}
-	if ways > MaxWays {
-		return nil, fmt.Errorf("cache: %d ways exceeds the maximum of %d", ways, MaxWays)
-	}
-	blocks := sizeBytes / int64(blockBytes)
-	if blocks%int64(ways) != 0 {
-		return nil, fmt.Errorf("cache: %d blocks not divisible by %d ways", blocks, ways)
-	}
-	sets := blocks / int64(ways)
 	n := sets * int64(ways)
 	c := &Cache{
 		sets:  sets,
@@ -76,6 +73,21 @@ func New(sizeBytes int64, blockBytes, ways int) (*Cache, error) {
 		c.setShift = uint(bits.TrailingZeros64(uint64(sets)))
 	}
 	return c, nil
+}
+
+// Shape returns the set count of the cache New builds from the same
+// arguments, or New's error for them.
+func Shape(sizeBytes int64, blockBytes, ways int) (sets int64, err error) {
+	if sizeBytes <= 0 || blockBytes <= 0 || ways <= 0 {
+		return 0, fmt.Errorf("cache: non-positive parameter size=%d block=%d ways=%d", sizeBytes, blockBytes, ways)
+	}
+	if ways > MaxWays {
+		return 0, fmt.Errorf("cache: %d ways exceeds the maximum of %d", ways, MaxWays)
+	}
+	if sizeBytes%(int64(blockBytes)*int64(ways)) != 0 {
+		return 0, fmt.Errorf("cache: %d bytes is not a whole number of %d-way sets of %d-byte blocks", sizeBytes, ways, blockBytes)
+	}
+	return sizeBytes / int64(blockBytes) / int64(ways), nil
 }
 
 // split maps a block address to its (set, tag) pair.
@@ -228,8 +240,8 @@ func (c *Cache) MissRate() float64 {
 // ResetStats clears hit/miss counters.
 func (c *Cache) ResetStats() { c.Hits, c.Misses = 0, 0 }
 
-// State is a Cache's replacement state detached by MoveState, in the
-// compact form a warm-up snapshot keeps while runs wait to copy it: tags
+// State is a copy of a Cache's replacement state taken by Snapshot, in
+// the compact form a warm-up snapshot keeps while runs wait to copy it: tags
 // narrowed to 32 bits when every one fits (the tag words are most of a
 // snapshot), dirty bits packed 64 to a word, and each way's LRU rank
 // within its set instead of its 32-bit stamp. Victim choice only
@@ -239,7 +251,7 @@ func (c *Cache) ResetStats() { c.Hits, c.Misses = 0, 0 }
 type State struct {
 	sets  int64
 	ways  int
-	tag   []int64  // the cache's own tag words, when some tag needs 64 bits
+	tag   []int64  // the tag words, when some tag needs 64 bits
 	tag32 []uint32 // otherwise the tags narrowed, with empty32 for an invalid way
 	dirty []uint64
 	rank  []uint8 // nil when the cache is direct-mapped
@@ -248,10 +260,9 @@ type State struct {
 // empty32 marks an invalid way among narrowed tags.
 const empty32 = ^uint32(0)
 
-// MoveState detaches the cache's state into its compact form; the tag
-// words are taken without copying when they cannot be narrowed. The
-// cache must not be used afterwards.
-func (c *Cache) MoveState() State {
+// Snapshot copies the cache's replacement state into its compact form.
+// The cache is left as it was and may go on being used.
+func (c *Cache) Snapshot() State {
 	s := State{sets: c.sets, ways: c.ways, dirty: make([]uint64, (len(c.tag)+63)/64)}
 	narrow := true
 	for _, tg := range c.tag {
@@ -270,7 +281,7 @@ func (c *Cache) MoveState() State {
 			}
 		}
 	} else {
-		s.tag = c.tag
+		s.tag = append([]int64(nil), c.tag...)
 	}
 	for i, d := range c.dirty {
 		if d {
@@ -296,7 +307,6 @@ func (c *Cache) MoveState() State {
 			}
 		}
 	}
-	c.tag, c.lru, c.dirty = nil, nil, nil
 	return s
 }
 
@@ -304,7 +314,7 @@ func (c *Cache) MoveState() State {
 // which stays untouched, so any number of caches may copy one State
 // concurrently. Stamps are rebuilt from the ranks and the clock restarts
 // above every one of them, so each later victim choice is the one the
-// cache s was moved from would have made. Hit and miss counters are
+// cache s was taken from would have made. Hit and miss counters are
 // left alone.
 func (c *Cache) CopyState(s State) error {
 	if s.sets != c.sets || s.ways != c.ways {
@@ -333,4 +343,77 @@ func (c *Cache) CopyState(s State) error {
 	}
 	c.tick = uint32(c.ways)
 	return nil
+}
+
+// Append appends the binary form of s to b: the shape (sets as a
+// uint64, ways as a uint32), a byte selecting 32-bit (0) or 64-bit (1)
+// tags, the tags, the packed dirty words, and, unless the cache is
+// direct-mapped, one rank byte per way. All integers are little-endian.
+func (s State) Append(b []byte) []byte {
+	b = slices.Grow(b, 13+4*len(s.tag32)+8*len(s.tag)+8*len(s.dirty)+len(s.rank))
+	b = binary.LittleEndian.AppendUint64(b, uint64(s.sets))
+	b = binary.LittleEndian.AppendUint32(b, uint32(s.ways))
+	if s.tag32 != nil {
+		b = append(b, 0)
+		for _, tg := range s.tag32 {
+			b = binary.LittleEndian.AppendUint32(b, tg)
+		}
+	} else {
+		b = append(b, 1)
+		for _, tg := range s.tag {
+			b = binary.LittleEndian.AppendUint64(b, uint64(tg))
+		}
+	}
+	for _, d := range s.dirty {
+		b = binary.LittleEndian.AppendUint64(b, d)
+	}
+	return append(b, s.rank...)
+}
+
+// ReadState decodes a State that Append wrote for a cache of sets x
+// ways; a State of any other shape, or a rank outside its set, fails r.
+// The arrays are sized from the expected shape, never from the input.
+func ReadState(r *binenc.Reader, sets int64, ways int) State {
+	s := State{sets: sets, ways: ways}
+	if gotSets, gotWays := int64(r.U64()), int(r.U32()); r.Err() == nil && (gotSets != sets || gotWays != ways) {
+		r.Failf("cache: state of %d sets x %d ways, want %d x %d", gotSets, gotWays, sets, ways)
+	}
+	n := int(sets) * ways
+	switch wide := r.U8(); {
+	case r.Err() != nil:
+	case wide == 0:
+		if raw := r.Bytes(4 * n); raw != nil {
+			s.tag32 = make([]uint32, n)
+			for i := range s.tag32 {
+				s.tag32[i] = binary.LittleEndian.Uint32(raw[4*i:])
+			}
+		}
+	case wide == 1:
+		if raw := r.Bytes(8 * n); raw != nil {
+			s.tag = make([]int64, n)
+			for i := range s.tag {
+				s.tag[i] = int64(binary.LittleEndian.Uint64(raw[8*i:]))
+			}
+		}
+	default:
+		r.Failf("cache: tag width selector %d", wide)
+	}
+	if raw := r.Bytes(8 * ((n + 63) / 64)); raw != nil {
+		s.dirty = make([]uint64, (n+63)/64)
+		for i := range s.dirty {
+			s.dirty[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		}
+	}
+	if ways > 1 {
+		if raw := r.Bytes(n); raw != nil {
+			for _, rank := range raw {
+				if int(rank) >= ways {
+					r.Failf("cache: rank %d in a %d-way set", rank, ways)
+					break
+				}
+			}
+			s.rank = append([]uint8(nil), raw...)
+		}
+	}
+	return s
 }

@@ -2,7 +2,10 @@ package cache
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"dcasim/internal/binenc"
 )
 
 func mustNew(t *testing.T, size int64, block, ways int) *Cache {
@@ -20,6 +23,9 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(100, 64, 2); err == nil {
 		t.Error("non-divisible size accepted")
+	}
+	if _, err := New(30000, 64, 2); err == nil {
+		t.Error("a size that is not a whole number of blocks accepted")
 	}
 	if _, err := New(MaxWays+1, 1, MaxWays+1); err == nil {
 		t.Errorf("%d ways accepted", MaxWays+1)
@@ -221,7 +227,7 @@ func TestMissRate(t *testing.T) {
 }
 
 // TestCopyStateContinuesLikeTheOriginal is the differential check of
-// the compact State encoding: caches restored from a moved state (ranks
+// the compact State encoding: caches restored from a snapshot (ranks
 // instead of stamps, packed dirty bits, narrowed tags when they fit)
 // must see every hit and choose every victim exactly as an untouched
 // twin does, over every shape, with sets left partly empty, and the
@@ -237,7 +243,7 @@ func TestCopyStateContinuesLikeTheOriginal(t *testing.T) {
 				apply(warm, o)
 				apply(twin, o)
 			}
-			s := warm.MoveState()
+			s := warm.Snapshot()
 			if narrow := s.tag32 != nil; narrow != (base == 0) {
 				t.Fatalf("%d sets x %d ways, base %d: narrowed=%v", sh.sets, ways, base, narrow)
 			}
@@ -260,6 +266,52 @@ func TestCopyStateContinuesLikeTheOriginal(t *testing.T) {
 			}
 			if err := mustNew(t, 2*size, 64, ways).CopyState(s); err == nil {
 				t.Fatal("state restored into a cache of another shape")
+			}
+		}
+	}
+}
+
+// TestStateBinaryRoundTrip: ReadState returns exactly the State Append
+// wrote — narrowed and 64-bit tags, direct-mapped and associative — and
+// rejects the encoding for any other shape, a truncation, and a rank
+// outside its set.
+func TestStateBinaryRoundTrip(t *testing.T) {
+	for _, sh := range shapes {
+		for _, base := range bases {
+			size, ways := sh.sets*int64(sh.ways)*64, sh.ways
+			c := mustNew(t, size, 64, ways)
+			rnd := rand.New(rand.NewSource(9))
+			for _, o := range stream(rnd, base, sh.sets, ways, int(sh.sets)*ways/2) {
+				apply(c, o)
+			}
+			s := c.Snapshot()
+			enc := s.Append(nil)
+			r := binenc.NewReader(enc)
+			if got := ReadState(r, sh.sets, ways); r.End() != nil || !reflect.DeepEqual(got, s) {
+				t.Fatalf("%d sets x %d ways, base %d: round trip differs (err %v)", sh.sets, ways, base, r.Err())
+			}
+			for _, bad := range []struct {
+				what string
+				data []byte
+				sets int64
+				ways int
+			}{
+				{"other sets", enc, 2 * sh.sets, ways},
+				{"other ways", enc, sh.sets, ways + 1},
+				{"truncated", enc[:len(enc)-1], sh.sets, ways},
+			} {
+				r := binenc.NewReader(bad.data)
+				if ReadState(r, bad.sets, bad.ways); r.End() == nil {
+					t.Errorf("%d sets x %d ways: %s accepted", sh.sets, ways, bad.what)
+				}
+			}
+			if ways > 1 {
+				rank := append([]byte(nil), enc...)
+				rank[len(rank)-1] = byte(ways)
+				r := binenc.NewReader(rank)
+				if ReadState(r, sh.sets, ways); r.End() == nil {
+					t.Errorf("%d sets x %d ways: rank %d accepted", sh.sets, ways, ways)
+				}
 			}
 		}
 	}

@@ -213,6 +213,12 @@ func (c Config) Validate() error {
 	if err := c.CPU.Validate(); err != nil {
 		return err
 	}
+	if err := c.MainMem.Validate(); err != nil {
+		return err
+	}
+	if c.L2HitLat < 0 {
+		return fmt.Errorf("config: negative L2 hit latency %v", c.L2HitLat)
+	}
 	// With an explicit Ctrl the controller consumes Ctrl.Design and
 	// Ctrl.Algorithm, so a diverging top-level value would be silently
 	// inert — yet still change the config hash, mislabeling cached

@@ -80,6 +80,9 @@ func TestValidationErrors(t *testing.T) {
 		"negative warm-up":   func(c *Config) { c.WarmMemops = -5 },
 		"512 L1 ways":        func(c *Config) { c.L1Ways = 512 },
 		"512 L2 ways":        func(c *Config) { c.L2Ways = 512 },
+		"negative L2 hit":    func(c *Config) { c.L2HitLat = -5 },
+		"negative mem lat":   func(c *Config) { c.MainMem.Latency = -1 },
+		"negative mem bus":   func(c *Config) { c.MainMem.BlockTime = -1 },
 	}
 	for name, mutate := range cases {
 		c := base

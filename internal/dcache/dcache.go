@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"dcasim/internal/addrmap"
+	"dcasim/internal/binenc"
 	"dcasim/internal/cache"
 	"dcasim/internal/core"
 	"dcasim/internal/dram"
@@ -510,18 +511,20 @@ type WarmState struct {
 	mapi *mempred.MAPI
 }
 
-// MoveWarmState detaches the cache's warm state without copying the tag
-// words. The cache must not be used afterwards.
-func (d *DCache) MoveWarmState() WarmState {
-	s := WarmState{tags: d.tags.MoveState(), mapi: d.mapi}
-	d.mapi = nil
+// SnapshotWarmState copies the cache's warm state out. The cache is left
+// as it was and may go on being used.
+func (d *DCache) SnapshotWarmState() WarmState {
+	s := WarmState{tags: d.tags.Snapshot()}
+	if d.mapi != nil {
+		s.mapi = d.mapi.Clone()
+	}
 	return s
 }
 
 // CopyWarmState overwrites the cache's tags and predictor with a copy of
 // s, which stays untouched, so any number of caches may copy one
 // WarmState concurrently. The cache must have the geometry, core count
-// and MAP-I setting of the one s was moved from.
+// and MAP-I setting of the one s was taken from.
 func (d *DCache) CopyWarmState(s WarmState) error {
 	if (s.mapi == nil) != (d.mapi == nil) {
 		return fmt.Errorf("dcache: warm state MAP-I setting differs from the cache's")
@@ -532,6 +535,31 @@ func (d *DCache) CopyWarmState(s WarmState) error {
 		}
 	}
 	return d.tags.CopyState(s.tags)
+}
+
+// Append appends the binary form of s to b: the tag array's State,
+// then a byte that is 1 when a MAP-I predictor follows and 0 otherwise.
+func (s WarmState) Append(b []byte) []byte {
+	b = s.tags.Append(b)
+	if s.mapi == nil {
+		return append(b, 0)
+	}
+	return s.mapi.Append(append(b, 1))
+}
+
+// ReadWarmState decodes a WarmState that Append wrote for a cache of
+// geometry geom whose MAP-I predictor serves mapiCores cores (0: no
+// predictor); a state of any other shape fails r.
+func ReadWarmState(r *binenc.Reader, geom Geometry, mapiCores int) WarmState {
+	s := WarmState{tags: cache.ReadState(r, geom.Sets, geom.Ways)}
+	switch has := r.U8(); {
+	case r.Err() != nil:
+	case has == 1 && mapiCores > 0:
+		s.mapi = mempred.ReadMAPI(r, mapiCores)
+	case has != 0 || mapiCores > 0:
+		r.Failf("dcache: warm state MAP-I selector %d, want a %d-core predictor", has, mapiCores)
+	}
+	return s
 }
 
 // RowSpan returns the contiguous block-address window whose members map

@@ -107,13 +107,13 @@ func TestInstallReplaces(t *testing.T) {
 func TestWarmStateRejectsOtherShapes(t *testing.T) {
 	_, small, _ := rig(t, SetAssoc, nil)
 	_, large, _ := rig(t, SetAssoc, func(c *Config) { c.SizeBytes = 2 << 20 })
-	if err := large.CopyWarmState(small.MoveWarmState()); err == nil {
+	if err := large.CopyWarmState(small.SnapshotWarmState()); err == nil {
 		t.Fatal("warm state restored into a larger geometry")
 	}
 }
 
 // TestTagStateRestorePicksSameVictims is the differential check of the
-// DRAM cache's warm state: a cache restored from a moved state must see
+// DRAM cache's warm state: a cache restored from a snapshot must see
 // every hit and choose every victim exactly as an untouched twin does,
 // in both organizations, with sets left partly empty, and with tags
 // that narrow to 32 bits (low addresses) and tags that do not (high
@@ -145,7 +145,7 @@ func TestTagStateRestorePicksSameVictims(t *testing.T) {
 				}
 			}
 		}
-		s := warm.MoveWarmState()
+		s := warm.SnapshotWarmState()
 		restored := make([]*DCache, 2)
 		for k := range restored {
 			_, restored[k], _ = rig(t, c.org, nil)

@@ -38,10 +38,14 @@ func fakeSim(panics ...uint64) func(config.Config) (sim.Result, error) {
 }
 
 // useSim substitutes a fake simulator for every path a run can take:
-// a plain run, and a shared warm-up plus a restored timed region.
+// a plain run, a run that shares its warm state, and a restored timed
+// region.
 func useSim(r *Runner, run func(config.Config) (sim.Result, error)) {
 	r.run = run
-	r.warmup = func(config.Config) (*sim.WarmState, error) { return new(sim.WarmState), nil }
+	r.runSaving = func(cfg config.Config, save func(*sim.WarmState)) (sim.Result, error) {
+		save(new(sim.WarmState))
+		return run(cfg)
+	}
 	r.runFrom = func(cfg config.Config, _ *sim.WarmState) (sim.Result, error) { return run(cfg) }
 }
 

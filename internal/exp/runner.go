@@ -37,11 +37,15 @@ type Runner struct {
 	progress   ProgressFunc
 	replicates int // default replicate count for Table; specs may override
 
-	// The simulator — a full run, a warm-up, and a timed region from a
-	// warm state; tests substitute panicking/hanging fakes.
+	// The simulator — a full run, a full run that also hands out its
+	// warm state, and a timed region from a warm state — and the codec
+	// of warm states kept in the cache; tests substitute
+	// panicking/hanging fakes.
 	run        func(config.Config) (sim.Result, error)
-	warmup     func(config.Config) (*sim.WarmState, error)
+	runSaving  func(config.Config, func(*sim.WarmState)) (sim.Result, error)
 	runFrom    func(config.Config, *sim.WarmState) (sim.Result, error)
+	encodeWarm func(*sim.WarmState) []byte
+	decodeWarm func(config.Config, []byte) (*sim.WarmState, error)
 	keepGoing  bool          // Ensure collects every failure instead of cancelling on the first
 	runTimeout time.Duration // per-run watchdog; <= 0 disables
 
@@ -70,20 +74,24 @@ func NewRunner(base config.Config, mixes []workload.Mix, workers int) *Runner {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	return &Runner{
-		base:     base,
-		mixes:    mixes,
-		workers:  workers,
-		run:      sim.Run,
-		warmup:   sim.Warmup,
-		runFrom:  sim.RunFrom,
-		results:  make(map[string]sim.Result),
-		errs:     make(map[string]error),
-		inflight: make(map[string]*call),
+		base:       base,
+		mixes:      mixes,
+		workers:    workers,
+		run:        sim.Run,
+		runSaving:  sim.RunSaving,
+		runFrom:    sim.RunFrom,
+		encodeWarm: sim.EncodeWarmState,
+		decodeWarm: sim.DecodeWarmState,
+		results:    make(map[string]sim.Result),
+		errs:       make(map[string]error),
+		inflight:   make(map[string]*call),
 	}
 }
 
 // SetCache attaches a persistent result cache, consulted before running
-// any simulation and updated after each one.
+// any simulation and updated after each one. The cache also keeps the
+// warm state of every warm key the runner warms up, so a later pass or
+// process restores it instead of warming up again.
 func (r *Runner) SetCache(c *rescache.Cache) { r.cache = c }
 
 // SetProgress installs a progress observer for Ensure passes (nil
@@ -165,6 +173,19 @@ func (r *Runner) CacheErr() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.cacheErr
+}
+
+// noteCacheErr records err as the runner's first failed cache write,
+// unless one is already recorded or err is nil.
+func (r *Runner) noteCacheErr(err error) {
+	if err == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.cacheErr == nil {
+		r.cacheErr = err
+	}
 }
 
 // Mixes returns the workload mixes under evaluation.
@@ -277,11 +298,7 @@ func (r *Runner) runWith(cfg config.Config, h string, slot *warmSlot) (sim.Resul
 	}
 	if !fromCache && c.err == nil {
 		simulated = true
-		if slot != nil {
-			c.res, c.err = r.executePooled(cfg, slot)
-		} else {
-			c.res, c.err = r.execute(cfg, r.run)
-		}
+		c.res, c.err = r.simulate(cfg, slot)
 	}
 
 	r.mu.Lock()
@@ -299,13 +316,7 @@ func (r *Runner) runWith(cfg config.Config, h string, slot *warmSlot) (sim.Resul
 	}
 	r.mu.Unlock()
 	if !fromCache && c.err == nil && r.cache != nil && Cacheable(cfg) {
-		if err := r.cache.Put(h, c.res); err != nil {
-			r.mu.Lock()
-			if r.cacheErr == nil {
-				r.cacheErr = err
-			}
-			r.mu.Unlock()
-		}
+		r.noteCacheErr(r.cache.Put(h, c.res))
 	}
 	// Release only after the Put: a waiter woken by the release must
 	// find the entry, not a miss that sends it off to re-simulate.
@@ -327,12 +338,16 @@ func (r *Runner) runWith(cfg config.Config, h string, slot *warmSlot) (sim.Resul
 // their first occurrence, spec order within a group, a config without a
 // key a group of its own — so the runs of one key start together. For a
 // key with two or more runs still to compute, the first run to need a
-// simulation warms up once (sim.Warmup) and the others wait for it and
-// run their timed regions from a copy of its snapshot (sim.RunFrom),
-// which gives the result sim.Run would. The snapshot is dropped once the
-// last run of its key has copied it; nothing outlives the pass. If the
-// shared warm-up panics, fails or trips the watchdog, that failure is
-// the owning config's alone and the waiters warm up for themselves.
+// simulation warms up once and hands a snapshot of its warm state to
+// the others (sim.RunSaving) before running on; they wait for it and
+// run their timed regions from a copy of it (sim.RunFrom), which gives
+// the result sim.Run would. The snapshot is dropped once the last run
+// of its key has copied it; nothing outlives the pass in memory. With a
+// cache attached, the owner first looks for the key's stored snapshot
+// and stores one after a fresh warm-up (runWarmed), so later passes and
+// processes skip the warm-up. If the shared warm-up panics, fails or
+// trips the watchdog, that failure is the owning config's alone and the
+// waiters warm up for themselves.
 //
 // The dispatch order is a function of the configs alone, never of the
 // worker count, and the pool dispatches strictly in it, so the error

@@ -39,8 +39,8 @@ func (s *warmSlot) claim() bool {
 }
 
 // publish ends the warm-up with its snapshot, or with nil when it
-// failed, and counts the owner's own use (the owner runs from its own
-// reference). Only the first call counts: a watchdog that gave up on the
+// failed, and counts the owner's own use (the owner runs on in the
+// system it warmed up). Only the first call counts: a watchdog that gave up on the
 // owner publishes nil, and the abandoned warm-up's late publish is then
 // ignored.
 func (s *warmSlot) publish(ws *sim.WarmState) {
@@ -84,21 +84,29 @@ func (s *warmSlot) release() {
 	}
 }
 
+// simulate computes cfg's result. A run with a warm slot goes through
+// the slot. Any other run with a warm key, on a runner with a cache,
+// starts from the cached snapshot of its warm state (warming up and
+// storing one on a miss). Every other run is a full sim.Run.
+func (r *Runner) simulate(cfg config.Config, slot *warmSlot) (sim.Result, error) {
+	if slot != nil {
+		return r.executePooled(cfg, slot)
+	}
+	if r.cache == nil || !Cacheable(cfg) {
+		return r.execute(cfg, r.run)
+	}
+	return r.execute(cfg, func(cfg config.Config) (sim.Result, error) { return r.runWarmed(cfg, nil) })
+}
+
 // executePooled computes cfg's result through its warm slot. The owner
-// warms up and runs from its own snapshot inside one watchdog, then ends
-// the warm-up for the waiters whatever happened — a panic, an error or
-// a timeout is recorded for the owner's config alone. A waiter whose
-// warm-up failed runs in full, warming up for itself.
+// runs through runWarmed, which publishes the warm state to the slot,
+// inside one watchdog, then ends the warm-up for the waiters whatever
+// happened — a panic, an error or a timeout is recorded for the owner's
+// config alone. A waiter whose warm-up failed runs in full, warming up
+// for itself.
 func (r *Runner) executePooled(cfg config.Config, s *warmSlot) (sim.Result, error) {
 	if s.claim() {
-		res, err := r.execute(cfg, func(cfg config.Config) (sim.Result, error) {
-			ws, err := r.warmup(cfg)
-			if err != nil {
-				return sim.Result{}, err
-			}
-			s.publish(ws)
-			return r.runFrom(cfg, ws)
-		})
+		res, err := r.execute(cfg, func(cfg config.Config) (sim.Result, error) { return r.runWarmed(cfg, s.publish) })
 		s.publish(nil)
 		return res, err
 	}
@@ -107,4 +115,37 @@ func (r *Runner) executePooled(cfg config.Config, s *warmSlot) (sim.Result, erro
 		return r.execute(cfg, r.run)
 	}
 	return r.execute(cfg, func(cfg config.Config) (sim.Result, error) { return r.runFrom(cfg, ws) })
+}
+
+// runWarmed computes cfg's result from its warm state, handing the state
+// to publish (when not nil) as soon as it is ready. On a runner with a
+// cache the state is the cache's snapshot for cfg's warm key when one
+// verifies, and the run's timed region starts from it. Otherwise cfg
+// warms up and runs on in the same system (runSaving), and the snapshot
+// is stored in the cache after publish, so that waiting runs do not
+// wait for the write. A failed store is recorded like a failed result
+// write and costs later passes a warm-up, nothing more.
+func (r *Runner) runWarmed(cfg config.Config, publish func(*sim.WarmState)) (sim.Result, error) {
+	if publish == nil {
+		publish = func(*sim.WarmState) {}
+	}
+	var key string
+	cached := false
+	if r.cache != nil {
+		key, cached = sim.WarmKeyOf(cfg)
+	}
+	if cached {
+		if data, ok := r.cache.GetWarm(key); ok {
+			if ws, err := r.decodeWarm(cfg, data); err == nil {
+				publish(ws)
+				return r.runFrom(cfg, ws)
+			}
+		}
+	}
+	return r.runSaving(cfg, func(ws *sim.WarmState) {
+		publish(ws)
+		if cached {
+			r.noteCacheErr(r.cache.PutWarm(key, r.encodeWarm(ws)))
+		}
+	})
 }

@@ -33,7 +33,7 @@ type poolSim struct {
 	warmups, runs, froms int
 	order                []string // "warm"/"run"/"from" + config hash, in call order
 	owner                string   // hash of the config whose warm-up ran first
-	failFirstWarm        func()   // called instead of the first warm-up's work; nil warms normally
+	failFirstWarm        func() error // called instead of the first warm-up's work; nil warms normally
 	failRun              func(config.Config) error
 }
 
@@ -64,7 +64,7 @@ func (p *poolSim) install(r *Runner) {
 		p.note("run", cfg)
 		return result(cfg)
 	}
-	r.warmup = func(cfg config.Config) (*sim.WarmState, error) {
+	r.runSaving = func(cfg config.Config, save func(*sim.WarmState)) (sim.Result, error) {
 		p.mu.Lock()
 		first := p.owner == ""
 		if first {
@@ -73,9 +73,13 @@ func (p *poolSim) install(r *Runner) {
 		p.mu.Unlock()
 		p.note("warm", cfg)
 		if first && p.failFirstWarm != nil {
-			p.failFirstWarm()
+			if err := p.failFirstWarm(); err != nil {
+				return sim.Result{}, err
+			}
 		}
-		return new(sim.WarmState), nil
+		save(new(sim.WarmState))
+		p.note("from", cfg)
+		return result(cfg)
 	}
 	r.runFrom = func(cfg config.Config, ws *sim.WarmState) (sim.Result, error) {
 		if ws == nil {
@@ -185,7 +189,7 @@ func TestWarmPoolFaultPanic(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		r := NewRunner(config.Test(), nil, workers)
 		r.SetKeepGoing(true)
-		p := &poolSim{failFirstWarm: func() {
+		p := &poolSim{failFirstWarm: func() error {
 			// Widen the window in which waiters block on the slot; the
 			// assertions hold whether they arrive before or after.
 			time.Sleep(10 * time.Millisecond)
@@ -208,17 +212,11 @@ func TestWarmPoolFaultError(t *testing.T) {
 	for _, workers := range []int{1, 2, 8} {
 		r := NewRunner(config.Test(), nil, workers)
 		r.SetKeepGoing(true)
-		p := &poolSim{}
+		p := &poolSim{failFirstWarm: func() error {
+			time.Sleep(10 * time.Millisecond)
+			return injected
+		}}
 		p.install(r)
-		warm := r.warmup
-		r.warmup = func(cfg config.Config) (*sim.WarmState, error) {
-			ws, _ := warm(cfg)
-			if cfg.Hash() == p.owner {
-				time.Sleep(10 * time.Millisecond)
-				return nil, injected
-			}
-			return ws, nil
-		}
 		err := ensureWithin(t, r, cfgs)
 		checkOwnerAlone(t, workers, r, p, cfgs, err, func(err error) bool { return errors.Is(err, injected) })
 	}
@@ -234,7 +232,7 @@ func TestWarmPoolTimeoutInWarmUp(t *testing.T) {
 		r := NewRunner(config.Test(), nil, workers)
 		r.SetKeepGoing(true)
 		r.SetRunTimeout(100 * time.Millisecond)
-		p := &poolSim{failFirstWarm: func() { <-hang }}
+		p := &poolSim{failFirstWarm: func() error { <-hang; return nil }}
 		p.install(r)
 		err := ensureWithin(t, r, cfgs)
 		p.mu.Lock()

@@ -8,6 +8,8 @@
 package mainmem
 
 import (
+	"fmt"
+
 	"dcasim/internal/event"
 	"dcasim/internal/simtime"
 )
@@ -25,6 +27,15 @@ func DefaultConfig() Config {
 		Latency:   50 * simtime.Nanosecond,
 		BlockTime: 4 * simtime.Nanosecond,
 	}
+}
+
+// Validate rejects a negative latency or bus time: either would
+// schedule a completion before the current time.
+func (c Config) Validate() error {
+	if c.Latency < 0 || c.BlockTime < 0 {
+		return fmt.Errorf("mainmem: negative latency %v or block time %v", c.Latency, c.BlockTime)
+	}
+	return nil
 }
 
 // Memory is the off-chip memory. Reads invoke a completion callback;

@@ -10,7 +10,12 @@
 // hardware design exploits.
 package mempred
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+
+	"dcasim/internal/binenc"
+)
 
 // TableSize is the number of counters per core; MAP-I uses a 256-entry
 // table (96 bytes per core at 3 bits each).
@@ -101,4 +106,56 @@ func (m *MAPI) CopyFrom(src *MAPI) error {
 		copy(table[i], row)
 	}
 	return nil
+}
+
+// Clone returns an independent copy of m: its counters and accuracy
+// statistics.
+func (m *MAPI) Clone() *MAPI {
+	c := *m
+	c.table = make([][]uint8, len(m.table))
+	for i, row := range m.table {
+		c.table[i] = append([]uint8(nil), row...)
+	}
+	return &c
+}
+
+// Append appends the binary form of m to b: the core count (uint32),
+// each core's TableSize counters, and the six accuracy counters in
+// declaration order (uint64 each), all little-endian.
+func (m *MAPI) Append(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(m.table)))
+	for _, row := range m.table {
+		b = append(b, row...)
+	}
+	for _, v := range m.stats() {
+		b = binary.LittleEndian.AppendUint64(b, uint64(*v))
+	}
+	return b
+}
+
+// ReadMAPI decodes a predictor that Append wrote for cores cores; any
+// other core count, or a counter above the 3-bit maximum, fails r.
+func ReadMAPI(r *binenc.Reader, cores int) *MAPI {
+	if got := int(r.U32()); r.Err() == nil && got != cores {
+		r.Failf("mempred: %d-core predictor, want %d", got, cores)
+	}
+	m := New(cores)
+	for _, row := range m.table {
+		raw := r.Bytes(TableSize)
+		for _, ctr := range raw {
+			if ctr > 7 {
+				r.Failf("mempred: counter value %d", ctr)
+			}
+		}
+		copy(row, raw)
+	}
+	for _, v := range m.stats() {
+		*v = int64(r.U64())
+	}
+	return m
+}
+
+// stats lists the accuracy counters in their encoding order.
+func (m *MAPI) stats() [6]*int64 {
+	return [6]*int64{&m.Lookups, &m.PredictedMiss, &m.CorrectMiss, &m.FalseMiss, &m.MissedMiss, &m.CorrectHit}
 }

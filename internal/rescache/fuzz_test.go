@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"dcasim/internal/config"
+	"dcasim/internal/dcache"
+	"dcasim/internal/sim"
 )
 
 // FuzzCacheGet feeds arbitrary bytes to the entry-envelope decode path.
@@ -76,6 +78,54 @@ func FuzzCacheGet(f *testing.F) {
 		sum := sha256.Sum256(compact.Bytes())
 		if hex.EncodeToString(sum[:]) != e.SHA256 {
 			t.Fatal("Get trusted an entry whose payload checksum does not match")
+		}
+	})
+}
+
+// fuzzWarmConfig is the smallest config the snapshot fuzzer decodes
+// for: one core, a 1 KB L1, a 4 KB L2 and a 64 KB direct-mapped DRAM
+// cache, so a whole snapshot is a few kilobytes.
+func fuzzWarmConfig() config.Config {
+	cfg := config.Test()
+	cfg.Benchmarks = []string{"mcf"}
+	cfg.L1Bytes, cfg.L1Ways = 1<<10, 2
+	cfg.L2Bytes, cfg.L2Ways = 4<<10, 4
+	cfg.Org = dcache.DirectMapped
+	cfg.CacheSizeBytes = 64 << 10
+	cfg.WarmMemops = 2_000
+	return cfg
+}
+
+// FuzzWarmSnapshot feeds arbitrary bytes to the snapshot entry reader
+// and to the warm-state decoder behind it. A .warm entry can hold
+// anything a torn write, bit rot or another version left, so the
+// contract is: neither ever panics, and whatever either accepts
+// re-encodes to exactly the bytes it was given — nothing is accepted by
+// reading less than all of it, or by reading it loosely.
+func FuzzWarmSnapshot(f *testing.F) {
+	cfg := fuzzWarmConfig()
+	key, payload := warmSnapshot(f, cfg)
+	entry := append(warmHeader(key, payload), payload...)
+	f.Add(entry)
+	f.Add(payload)
+	f.Add(entry[:len(entry)/2])
+	f.Add(payload[:len(payload)-1])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap := data
+		if p, ok := readWarmEntry(data, key); ok {
+			if again := append(warmHeader(key, p), p...); !bytes.Equal(again, data) {
+				t.Fatal("the entry reader accepted bytes that do not re-encode to themselves")
+			}
+			snap = p
+		}
+		ws, err := sim.DecodeWarmState(cfg, snap)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(sim.EncodeWarmState(ws), snap) {
+			t.Fatal("the decoder accepted a snapshot that does not re-encode to itself")
 		}
 	})
 }

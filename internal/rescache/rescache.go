@@ -15,6 +15,11 @@
 // see whole entries or none, and a machine crash shortly after the
 // rename cannot surface a zero-length entry.
 //
+// A second kind of entry, <dir>/<warmkey>.warm, keeps the encoded warm
+// state of one warm key (sim.WarmKeyOf) in a binary envelope under the
+// same rules: verified whole or read as a miss, written through the
+// same fsync-then-rename path, its temp files swept by Open (warm.go).
+//
 // Concurrency: within a process, writes to the same key serialize on a
 // per-key lock. Across processes, <dir>/<key>.claim files coordinate who
 // computes a missing entry: TryClaim takes the claim with an exclusive
@@ -325,11 +330,26 @@ func (c *Cache) Put(key string, res sim.Result) error {
 	if err != nil {
 		return fmt.Errorf("rescache: encode entry: %w", err)
 	}
-	tmp, err := c.fs.CreateTemp(c.dir, key+".tmp*")
+	return c.write(key+".tmp*", c.Path(key), append(data, '\n'))
+}
+
+// write publishes the concatenated chunks at path through a temp file named by the
+// CreateTemp pattern (which must contain ".tmp", so that Open sweeps it
+// up if the writer dies). The temp file is fsynced and then renamed
+// over path, so readers see the whole file or none. The temp file is removed on failure; the directory is
+// synced best-effort afterwards so the rename itself survives a crash
+// (its loss costs one recompute, never a torn entry).
+func (c *Cache) write(pattern, path string, chunks ...[]byte) error {
+	tmp, err := c.fs.CreateTemp(c.dir, pattern)
 	if err != nil {
 		return fmt.Errorf("rescache: %w", err)
 	}
-	_, werr := tmp.Write(append(data, '\n'))
+	var werr error
+	for _, data := range chunks {
+		if _, werr = tmp.Write(data); werr != nil {
+			break
+		}
+	}
 	var serr error
 	if werr == nil {
 		serr = tmp.Sync()
@@ -339,7 +359,7 @@ func (c *Cache) Put(key string, res sim.Result) error {
 		c.removeQuiet(tmp.Name())
 		return fmt.Errorf("rescache: write entry: %w", err)
 	}
-	if err := c.fs.Rename(tmp.Name(), c.Path(key)); err != nil {
+	if err := c.fs.Rename(tmp.Name(), path); err != nil {
 		c.removeQuiet(tmp.Name())
 		return fmt.Errorf("rescache: %w", err)
 	}

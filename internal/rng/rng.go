@@ -8,6 +8,12 @@
 // recommended by its authors.
 package rng
 
+import (
+	"encoding/binary"
+
+	"dcasim/internal/binenc"
+)
+
 // Rand is a deterministic xoshiro256** generator. The zero value is not
 // usable; construct with New.
 type Rand struct {
@@ -75,3 +81,25 @@ func (r *Rand) Float64() float64 {
 
 // Bool returns true with probability p.
 func (r *Rand) Bool(p float64) bool { return r.Float64() < p }
+
+// Append appends the generator's position, its four state words as
+// little-endian uint64s, to b.
+func (r *Rand) Append(b []byte) []byte {
+	for _, w := range r.s {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return b
+}
+
+// Restore moves the generator to a position Append wrote. The all-zero
+// state, which xoshiro never reaches, fails rd.
+func (r *Rand) Restore(rd *binenc.Reader) {
+	var s [4]uint64
+	for i := range s {
+		s[i] = rd.U64()
+	}
+	if rd.Err() == nil && s == [4]uint64{} {
+		rd.Failf("rng: all-zero state")
+	}
+	r.s = s
+}

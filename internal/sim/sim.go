@@ -9,11 +9,14 @@ package sim
 import (
 	"bufio"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 
+	"dcasim/internal/binenc"
 	"dcasim/internal/cache"
 	"dcasim/internal/config"
 	"dcasim/internal/core"
@@ -101,12 +104,12 @@ func openSources(cfg *config.Config) (*runSources, error) {
 	} else {
 		rs.names = append([]string(nil), cfg.Benchmarks...)
 		rs.srcs = make([]workload.Source, len(rs.names))
-		for i, bench := range rs.names {
-			prof, err := workload.Lookup(bench)
+		for i := range rs.names {
+			g, err := newGen(cfg, i)
 			if err != nil {
 				return nil, err
 			}
-			rs.srcs[i] = workload.NewGen(prof, cfg.Seed*1000003+uint64(i)*7919, int64(i)<<40, cfg.WSScale)
+			rs.srcs[i] = g
 		}
 	}
 	if cfg.RecordPath != "" {
@@ -135,6 +138,16 @@ func openSources(cfg *config.Config) (*runSources, error) {
 		}
 	}
 	return rs, nil
+}
+
+// newGen returns the synthetic generator of core i of a config without
+// a trace, at the start of its stream.
+func newGen(cfg *config.Config, i int) (*workload.Gen, error) {
+	prof, err := workload.Lookup(cfg.Benchmarks[i])
+	if err != nil {
+		return nil, err
+	}
+	return workload.NewGen(prof, cfg.Seed*1000003+uint64(i)*7919, int64(i)<<40, cfg.WSScale), nil
 }
 
 // abort closes the trace files after a failed run and removes a
@@ -337,9 +350,23 @@ func (s *system) timed(instrPerCore int64) (Result, error) {
 }
 
 // Run executes one simulation and returns its results.
-func Run(cfg config.Config) (Result, error) {
+func Run(cfg config.Config) (Result, error) { return RunSaving(cfg, nil) }
+
+// RunSaving is Run that also hands save, at the end of warm-up, a
+// snapshot of the warm state — the state Warmup(cfg) returns — before
+// the same system runs its timed region. Its result is Run's. With a
+// save, trace replay and recording runs, which have no warm state, are
+// refused; a nil save makes it Run.
+func RunSaving(cfg config.Config, save func(*WarmState)) (Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, err
+	}
+	var key string
+	if save != nil {
+		var ok bool
+		if key, ok = WarmKeyOf(cfg); !ok {
+			return Result{}, errKeyless
+		}
 	}
 	s, err := build(&cfg, nil)
 	if err != nil {
@@ -347,6 +374,9 @@ func Run(cfg config.Config) (Result, error) {
 	}
 	defer s.release()
 	s.warm(cfg.WarmMemops)
+	if save != nil {
+		save(s.snapshot(key))
+	}
 	return s.timed(cfg.InstrPerCore)
 }
 
@@ -417,27 +447,36 @@ type WarmState struct {
 	gens []*workload.Gen
 }
 
+// errKeyless refuses a warm state to a run without a warm key.
+var errKeyless = errors.New("sim: trace replay and recording runs have no reusable warm state")
+
 // Warmup builds the system cfg describes, runs its functional warm-up,
-// and moves the warmed state into a WarmState without copying it.
+// and returns the warmed state.
 func Warmup(cfg config.Config) (*WarmState, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	key, ok := WarmKeyOf(cfg)
 	if !ok {
-		return nil, fmt.Errorf("sim: trace replay and recording runs have no reusable warm state")
+		return nil, errKeyless
 	}
 	s, err := build(&cfg, nil)
 	if err != nil {
 		return nil, err
 	}
 	s.warm(cfg.WarmMemops)
-	ws := &WarmState{key: key, l2: s.l2arr.MoveState(), dc: s.dc.MoveWarmState()}
+	return s.snapshot(key), nil
+}
+
+// snapshot copies the warm state of a warmed system, whose warm key is
+// key, out of it; the system is left as it was.
+func (s *system) snapshot(key string) *WarmState {
+	ws := &WarmState{key: key, l2: s.l2arr.Snapshot(), dc: s.dc.SnapshotWarmState()}
 	for i, l1 := range s.l1s {
-		ws.l1s = append(ws.l1s, l1.MoveState())
-		ws.gens = append(ws.gens, s.srcs.srcs[i].(*workload.Gen))
+		ws.l1s = append(ws.l1s, l1.Snapshot())
+		ws.gens = append(ws.gens, s.srcs.srcs[i].(*workload.Gen).Clone())
 	}
-	return ws, nil
+	return ws
 }
 
 // RunFrom executes cfg's simulation from a warm state instead of warming
@@ -474,6 +513,87 @@ func (s *system) restore(ws *WarmState) error {
 		}
 	}
 	return s.dc.CopyWarmState(ws.dc)
+}
+
+// WarmFormat is the version of the encoding EncodeWarmState writes.
+// Stores of snapshots carry it, and a snapshot of another version is
+// not read.
+const WarmFormat = 1
+
+// EncodeWarmState returns the binary form of ws: its warm key (64 hex
+// digits), the core count (uint32), each L1's cache.State, the L2's,
+// the DRAM cache's dcache.WarmState, and each core generator's position.
+// Integers are little-endian throughout.
+func EncodeWarmState(ws *WarmState) []byte {
+	b := append([]byte(nil), ws.key...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ws.l1s)))
+	for _, l1 := range ws.l1s {
+		b = l1.Append(b)
+	}
+	b = ws.l2.Append(b)
+	b = ws.dc.Append(b)
+	for _, g := range ws.gens {
+		b = g.AppendPosition(b)
+	}
+	return b
+}
+
+// DecodeWarmState rebuilds the WarmState that EncodeWarmState encoded
+// into data, for cfg: the generators are rebuilt from cfg and moved to
+// their stored positions. The stored warm key must be cfg's, and the
+// core count, every array's sets x ways and the MAP-I core count must be
+// the ones cfg describes, so a snapshot RunFrom accepts is one Warmup of
+// cfg could have produced.
+func DecodeWarmState(cfg config.Config, data []byte) (*WarmState, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	key, ok := WarmKeyOf(cfg)
+	if !ok {
+		return nil, errKeyless
+	}
+	l1Sets, err := cache.Shape(cfg.L1Bytes, dcache.BlockBytes, cfg.L1Ways)
+	if err != nil {
+		return nil, err
+	}
+	l2Sets, err := cache.Shape(cfg.L2Bytes, dcache.BlockBytes, cfg.L2Ways)
+	if err != nil {
+		return nil, err
+	}
+	geom, err := dcache.NewGeometry(cfg.Org, cfg.CacheSizeBytes, cfg.DRAMGeometry())
+	if err != nil {
+		return nil, err
+	}
+	r := binenc.NewReader(data)
+	if got := r.Bytes(len(key)); r.Err() == nil && string(got) != key {
+		return nil, fmt.Errorf("sim: warm snapshot of key %.12s…, want %.12s…", got, key)
+	}
+	cores := len(cfg.Benchmarks)
+	if got := int(r.U32()); r.Err() == nil && got != cores {
+		return nil, fmt.Errorf("sim: warm snapshot of %d cores, want %d", got, cores)
+	}
+	ws := &WarmState{key: key}
+	for i := 0; i < cores; i++ {
+		ws.l1s = append(ws.l1s, cache.ReadState(r, l1Sets, cfg.L1Ways))
+	}
+	ws.l2 = cache.ReadState(r, l2Sets, cfg.L2Ways)
+	mapiCores := 0
+	if cfg.UseMAPI {
+		mapiCores = cores
+	}
+	ws.dc = dcache.ReadWarmState(r, geom, mapiCores)
+	for i := 0; i < cores; i++ {
+		g, err := newGen(&cfg, i)
+		if err != nil {
+			return nil, err
+		}
+		g.RestorePosition(r)
+		ws.gens = append(ws.gens, g)
+	}
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("sim: warm snapshot: %w", err)
+	}
+	return ws, nil
 }
 
 // AloneIPC runs a single benchmark alone on the given configuration and

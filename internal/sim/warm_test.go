@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -265,5 +266,106 @@ func TestRunFromRejectsForeignState(t *testing.T) {
 	}
 	if _, err := RunFrom(rec, ws); err == nil {
 		t.Error("RunFrom accepted a recording run")
+	}
+}
+
+// TestWarmStateBinaryRoundTrip: DecodeWarmState rebuilds exactly the
+// state Warmup left, in both organizations, with and without MAP-I.
+func TestWarmStateBinaryRoundTrip(t *testing.T) {
+	for _, org := range []dcache.Org{dcache.SetAssoc, dcache.DirectMapped} {
+		for _, mapi := range []bool{true, false} {
+			cfg := tinyConfig()
+			cfg.Org, cfg.UseMAPI = org, mapi
+			ws, err := Warmup(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			enc := EncodeWarmState(ws)
+			got, err := DecodeWarmState(cfg, enc)
+			if err != nil {
+				t.Fatalf("%v mapi=%v: %v", org, mapi, err)
+			}
+			if !reflect.DeepEqual(got, ws) {
+				t.Fatalf("%v mapi=%v: decoded warm state differs from Warmup's", org, mapi)
+			}
+			if again := EncodeWarmState(got); !bytes.Equal(again, enc) {
+				t.Fatalf("%v mapi=%v: re-encoding differs", org, mapi)
+			}
+		}
+	}
+}
+
+// TestDecodeWarmStateRejectsMismatches: a snapshot decodes only for a
+// config of its own warm key and shapes, and only whole.
+func TestDecodeWarmStateRejectsMismatches(t *testing.T) {
+	cfg := tinyConfig()
+	ws, err := Warmup(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := EncodeWarmState(ws)
+	for what, mutate := range map[string]func(*config.Config){
+		"another seed":      func(c *config.Config) { c.Seed++ },
+		"another L2 size":   func(c *config.Config) { c.L2Bytes *= 2 },
+		"another org":       func(c *config.Config) { c.Org = dcache.DirectMapped },
+		"MAP-I off":         func(c *config.Config) { c.UseMAPI = !c.UseMAPI },
+		"one core fewer":    func(c *config.Config) { c.Benchmarks = c.Benchmarks[:3] },
+		"a recording run":   func(c *config.Config) { c.RecordPath = "x.dct" },
+		"an invalid config": func(c *config.Config) { c.L1Ways = 0 },
+	} {
+		other := cfg
+		other.Benchmarks = append([]string(nil), cfg.Benchmarks...)
+		mutate(&other)
+		if _, err := DecodeWarmState(other, enc); err == nil {
+			t.Errorf("%s: snapshot accepted", what)
+		}
+	}
+	// The same shapes under a forged key: the shape checks alone must
+	// catch a snapshot of one core fewer.
+	fewer := cfg
+	fewer.Benchmarks = cfg.Benchmarks[:3]
+	fewerKey, _ := WarmKeyOf(fewer)
+	forged := append([]byte(fewerKey), enc[len(fewerKey):]...)
+	if _, err := DecodeWarmState(fewer, forged); err == nil {
+		t.Error("a 4-core snapshot decoded for a 3-core config")
+	}
+	for _, bad := range [][]byte{nil, enc[:len(enc)/2], enc[:len(enc)-1], append(append([]byte(nil), enc...), 0)} {
+		if _, err := DecodeWarmState(cfg, bad); err == nil {
+			t.Errorf("a snapshot of %d bytes (whole: %d) decoded", len(bad), len(enc))
+		}
+	}
+}
+
+// TestRunSavingIsRunPlusWarmup: RunSaving returns Run's result and hands
+// out exactly the state Warmup returns, in both organizations; it
+// refuses a recording run, which has no warm key.
+func TestRunSavingIsRunPlusWarmup(t *testing.T) {
+	for _, org := range []dcache.Org{dcache.SetAssoc, dcache.DirectMapped} {
+		cfg := tinyConfig()
+		cfg.Org = org
+		want, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantWS, err := Warmup(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var saved *WarmState
+		got, err := RunSaving(cfg, func(ws *WarmState) { saved = ws })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%v: RunSaving's result differs from Run's", org)
+		}
+		if !reflect.DeepEqual(saved, wantWS) {
+			t.Errorf("%v: RunSaving handed out a state other than Warmup's", org)
+		}
+	}
+	rec := tinyConfig()
+	rec.RecordPath = filepath.Join(t.TempDir(), "x.dct")
+	if _, err := RunSaving(rec, func(*WarmState) {}); err == nil {
+		t.Error("RunSaving accepted a recording run")
 	}
 }

@@ -13,9 +13,11 @@
 package workload
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
+	"dcasim/internal/binenc"
 	"dcasim/internal/rng"
 )
 
@@ -194,4 +196,28 @@ func (g *Gen) Clone() *Gen {
 	r := *g.rng
 	c.rng = &r
 	return &c
+}
+
+// AppendPosition appends the generator's dynamic position to b: its
+// RNG state, then cursor, runLeft, lastAddr and streamID as little-
+// endian 64-bit words. Everything else is fixed by NewGen's arguments.
+func (g *Gen) AppendPosition(b []byte) []byte {
+	b = g.rng.Append(b)
+	b = binary.LittleEndian.AppendUint64(b, uint64(g.cursor))
+	b = binary.LittleEndian.AppendUint64(b, uint64(g.runLeft))
+	b = binary.LittleEndian.AppendUint64(b, uint64(g.lastAddr))
+	return binary.LittleEndian.AppendUint64(b, g.streamID)
+}
+
+// RestorePosition moves a generator NewGen built to a position that
+// AppendPosition wrote for a generator of the same arguments. A cursor
+// outside the working set or a negative run length fails r.
+func (g *Gen) RestorePosition(r *binenc.Reader) {
+	g.rng.Restore(r)
+	cursor, runLeft := int64(r.U64()), int64(r.U64())
+	g.lastAddr, g.streamID = int64(r.U64()), r.U64()
+	if r.Err() == nil && (cursor < 0 || cursor >= g.wsBlocks || runLeft < 0 || runLeft > 2*int64(g.prof.SeqRun)) {
+		r.Failf("workload: position cursor=%d runLeft=%d outside the generator's range", cursor, runLeft)
+	}
+	g.cursor, g.runLeft = cursor, int(runLeft)
 }
